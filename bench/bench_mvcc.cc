@@ -24,7 +24,10 @@
 //    application throughput while reader threads continuously pin
 //    snapshots and run the join union against them.
 //
-// Counters: p50_ms / p99_ms (per-iteration reader latency quantiles),
+// Counters: samples / p50_ms / p<N>_ms (per-iteration reader latency:
+// the sample count, the median, and the tail at the highest percentile
+// with at least ten samples beyond it — p75 from 40 samples up to p999
+// from 10000; no tail counter below 40 samples),
 // updategrams_per_sec (writer progress during the measured window),
 // rows (result size sanity), versions (head version advance — proof
 // the writer actually published during the run).
@@ -135,12 +138,39 @@ Updategram ChurnGram(const std::string& rel, uint64_t round) {
   return u;
 }
 
-/// Latency quantile over per-iteration samples (nearest-rank).
-double QuantileMs(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  size_t rank = static_cast<size_t>(q * static_cast<double>(samples.size()));
-  return samples[std::min(rank, samples.size() - 1)];
+/// Nearest-rank quantile of sorted samples at `permille`/1000: the
+/// ceil(q*n)-th smallest, so n - ceil(q*n) samples lie beyond it.
+double QuantileMs(const std::vector<double>& sorted, size_t permille) {
+  if (sorted.empty()) return 0.0;
+  size_t rank = (permille * sorted.size() + 999) / 1000;
+  return sorted[std::max<size_t>(rank, 1) - 1];
+}
+
+/// Publishes per-iteration reader latencies: `samples`, `p50_ms`, and
+/// one tail counter named after its percentile — the highest of
+/// p999/p99/p95/p90/p75 with at least ten samples beyond it. Below 40
+/// samples even p75 has fewer than ten beyond it, so no tail is
+/// reported: a "p99" of 13 samples would be their maximum.
+void ReportLatencies(benchmark::State& state,
+                     std::vector<double> latencies_ms) {
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  const size_t n = latencies_ms.size();
+  state.counters["samples"] = static_cast<double>(n);
+  state.counters["p50_ms"] = QuantileMs(latencies_ms, 500);
+  static constexpr struct {
+    size_t permille;
+    const char* name;
+  } kTails[] = {{999, "p999_ms"},
+                {990, "p99_ms"},
+                {950, "p95_ms"},
+                {900, "p90_ms"},
+                {750, "p75_ms"}};
+  for (const auto& tail : kTails) {
+    if (n * (1000 - tail.permille) >= 10 * 1000) {
+      state.counters[tail.name] = QuantileMs(latencies_ms, tail.permille);
+      break;
+    }
+  }
 }
 
 // --------------------------------------------------------------------
@@ -184,8 +214,7 @@ void BM_MVCC_ReaderQuiesced(benchmark::State& state) {
         std::chrono::duration<double, std::milli>(end - start).count());
   }
   state.counters["rows"] = static_cast<double>(rows.size());
-  state.counters["p50_ms"] = QuantileMs(latencies_ms, 0.50);
-  state.counters["p99_ms"] = QuantileMs(latencies_ms, 0.99);
+  ReportLatencies(state, std::move(latencies_ms));
 }
 BENCHMARK(BM_MVCC_ReaderQuiesced)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
@@ -235,8 +264,7 @@ void BM_MVCC_ReaderUnderWriter(benchmark::State& state) {
   writer.join();
 
   state.counters["rows"] = static_cast<double>(rows.size());
-  state.counters["p50_ms"] = QuantileMs(latencies_ms, 0.50);
-  state.counters["p99_ms"] = QuantileMs(latencies_ms, 0.99);
+  ReportLatencies(state, std::move(latencies_ms));
   state.counters["updategrams_per_sec"] =
       window_s > 0 ? static_cast<double>(applied_in_window) / window_s : 0;
   state.counters["versions"] =

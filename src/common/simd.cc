@@ -1,530 +1,89 @@
 #include "src/common/simd.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/common/hash.h"
-
-// Backend selection, compile time only (ISSUE 8). simd.cc is the one
-// translation unit built with native arch flags (see src/CMakeLists),
-// so intrinsics never leak into headers and the rest of the build keeps
-// the default baseline. REVERE_NO_SIMD wins over everything.
-#if defined(REVERE_NO_SIMD)
-#define REVERE_SIMD_SCALAR 1
-#elif defined(__AVX2__)
-#define REVERE_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#define REVERE_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif defined(__ARM_NEON) || defined(__aarch64__)
-#define REVERE_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define REVERE_SIMD_SCALAR 1
-#endif
 
 namespace revere::simd {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Scalar backend: the reference implementation every vector backend
-// must match bit for bit. Also the runtime fallback behind Ops(false).
-// ---------------------------------------------------------------------
-
-void FillU32Scalar(uint32_t v, size_t n, uint32_t* out) {
-  for (size_t i = 0; i < RoundUpLanes(n); ++i) out[i] = v;
-}
-
-void FillU64Scalar(uint64_t v, size_t n, uint64_t* out) {
-  for (size_t i = 0; i < RoundUpLanes(n); ++i) out[i] = v;
-}
-
-void IotaU32Scalar(uint32_t base, size_t n, uint32_t* out) {
-  for (size_t i = 0; i < RoundUpLanes(n); ++i) {
-    out[i] = base + static_cast<uint32_t>(i);
+/// Word w of the n-element mask whose bit i is pred(i); bits >= n stay
+/// zero.
+template <typename Pred>
+uint64_t MaskWord(size_t w, size_t n, Pred pred) {
+  const size_t base = w * 64;
+  const size_t limit = std::min<size_t>(64, n - base);
+  uint64_t word = 0;
+  for (size_t b = 0; b < limit; ++b) {
+    word |= uint64_t{pred(base + b)} << b;
   }
+  return word;
 }
-
-void CopyU32Scalar(const uint32_t* src, size_t n, uint32_t* out) {
-  std::memcpy(out, src, RoundUpLanes(n) * sizeof(uint32_t));
-}
-
-void GatherU32Scalar(const uint32_t* vals, const uint32_t* idx, size_t n,
-                     uint32_t* out) {
-  // idx == out aliasing is fine: each element is read before written.
-  for (size_t i = 0; i < RoundUpLanes(n); ++i) out[i] = vals[idx[i]];
-}
-
-/// Clears mask bits >= n in the last word (kernels keep them zero so
-/// compact never needs a separate bound).
-void TrimMask(size_t n, uint64_t* mask) {
-  if (n % 64 != 0) mask[n / 64] &= (uint64_t{1} << (n % 64)) - 1;
-}
-
-void EqMaskSetScalar(const uint32_t* a, uint32_t want, size_t n,
-                     uint64_t* mask) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t limit = n - w * 64 < 64 ? n - w * 64 : 64;
-    for (size_t b = 0; b < limit; ++b) {
-      word |= uint64_t{a[w * 64 + b] == want} << b;
-    }
-    mask[w] = word;
-  }
-}
-
-void EqMaskAndScalar(const uint32_t* a, uint32_t want, size_t n,
-                     uint64_t* mask) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t limit = n - w * 64 < 64 ? n - w * 64 : 64;
-    for (size_t b = 0; b < limit; ++b) {
-      word |= uint64_t{a[w * 64 + b] == want} << b;
-    }
-    mask[w] &= word;
-  }
-}
-
-void Eq2MaskSetScalar(const uint32_t* a, const uint32_t* b, size_t n,
-                      uint64_t* mask) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t limit = n - w * 64 < 64 ? n - w * 64 : 64;
-    for (size_t i = 0; i < limit; ++i) {
-      word |= uint64_t{a[w * 64 + i] == b[w * 64 + i]} << i;
-    }
-    mask[w] = word;
-  }
-}
-
-void Eq2MaskAndScalar(const uint32_t* a, const uint32_t* b, size_t n,
-                      uint64_t* mask) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t limit = n - w * 64 < 64 ? n - w * 64 : 64;
-    for (size_t i = 0; i < limit; ++i) {
-      word |= uint64_t{a[w * 64 + i] == b[w * 64 + i]} << i;
-    }
-    mask[w] &= word;
-  }
-}
-
-size_t CompactU32Scalar(const uint32_t* src, const uint64_t* mask, size_t n,
-                        uint32_t* out) {
-  size_t k = 0;
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = mask[w];
-    while (word != 0) {
-      unsigned b = static_cast<unsigned>(__builtin_ctzll(word));
-      out[k++] = src[w * 64 + b];
-      word &= word - 1;
-    }
-  }
-  return k;
-}
-
-void HashMixScalar(const uint64_t* vh, const uint32_t* codes, size_t n,
-                   uint64_t* h) {
-  for (size_t i = 0; i < RoundUpLanes(n); ++i) {
-    h[i] = HashStep(h[i], vh[codes[i]]);
-  }
-}
-
-void HashMixConstScalar(uint64_t hv, size_t n, uint64_t* h) {
-  for (size_t i = 0; i < RoundUpLanes(n); ++i) h[i] = HashStep(h[i], hv);
-}
-
-constexpr SimdOps kScalarOps = {
-    FillU32Scalar,    FillU64Scalar,    IotaU32Scalar,    CopyU32Scalar,
-    GatherU32Scalar,  EqMaskSetScalar,  EqMaskAndScalar,  Eq2MaskSetScalar,
-    Eq2MaskAndScalar, CompactU32Scalar, HashMixScalar,    HashMixConstScalar,
-};
-
-// ---------------------------------------------------------------------
-// AVX2 backend: 8 × uint32 lanes (4 × uint64 for the hash mix), all
-// loads/stores unaligned — the padding contract guarantees extent, not
-// alignment.
-// ---------------------------------------------------------------------
-
-#if defined(REVERE_SIMD_AVX2)
-
-void FillU32Avx2(uint32_t v, size_t n, uint32_t* out) {
-  __m256i vv = _mm256_set1_epi32(static_cast<int>(v));
-  for (size_t i = 0; i < RoundUpLanes(n); i += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), vv);
-  }
-}
-
-void FillU64Avx2(uint64_t v, size_t n, uint64_t* out) {
-  __m256i vv = _mm256_set1_epi64x(static_cast<long long>(v));
-  for (size_t i = 0; i < RoundUpLanes(n); i += 4) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), vv);
-  }
-}
-
-void IotaU32Avx2(uint32_t base, size_t n, uint32_t* out) {
-  __m256i v = _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base)),
-                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  const __m256i step = _mm256_set1_epi32(8);
-  for (size_t i = 0; i < RoundUpLanes(n); i += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    v = _mm256_add_epi32(v, step);
-  }
-}
-
-void GatherU32Avx2(const uint32_t* vals, const uint32_t* idx, size_t n,
-                   uint32_t* out) {
-  for (size_t i = 0; i < RoundUpLanes(n); i += 8) {
-    __m256i iv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    __m256i gv = _mm256_i32gather_epi32(reinterpret_cast<const int*>(vals),
-                                        iv, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), gv);
-  }
-}
-
-/// 8 compare lanes -> 8 mask bits (bit l = lane l equal).
-inline uint32_t EqBits8(__m256i a, __m256i b) {
-  return static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(a, b))));
-}
-
-template <bool kAnd>
-void EqMaskAvx2(const uint32_t* a, uint32_t want, size_t n, uint64_t* mask) {
-  const __m256i wv = _mm256_set1_epi32(static_cast<int>(want));
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t base = w * 64;
-    size_t groups = (n - base < 64 ? RoundUpLanes(n - base) : 64) / 8;
-    for (size_t g = 0; g < groups; ++g) {
-      __m256i av = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(a + base + g * 8));
-      word |= static_cast<uint64_t>(EqBits8(av, wv)) << (g * 8);
-    }
-    if (kAnd) {
-      mask[w] &= word;
-    } else {
-      mask[w] = word;
-    }
-  }
-  TrimMask(n, mask);
-}
-
-template <bool kAnd>
-void Eq2MaskAvx2(const uint32_t* a, const uint32_t* b, size_t n,
-                 uint64_t* mask) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t base = w * 64;
-    size_t groups = (n - base < 64 ? RoundUpLanes(n - base) : 64) / 8;
-    for (size_t g = 0; g < groups; ++g) {
-      __m256i av = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(a + base + g * 8));
-      __m256i bv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b + base + g * 8));
-      word |= static_cast<uint64_t>(EqBits8(av, bv)) << (g * 8);
-    }
-    if (kAnd) {
-      mask[w] &= word;
-    } else {
-      mask[w] = word;
-    }
-  }
-  TrimMask(n, mask);
-}
-
-void EqMaskSetAvx2(const uint32_t* a, uint32_t want, size_t n,
-                   uint64_t* mask) {
-  EqMaskAvx2<false>(a, want, n, mask);
-}
-void EqMaskAndAvx2(const uint32_t* a, uint32_t want, size_t n,
-                   uint64_t* mask) {
-  // TrimMask in Set already zeroed tail bits; And can only clear more.
-  EqMaskAvx2<true>(a, want, n, mask);
-}
-void Eq2MaskSetAvx2(const uint32_t* a, const uint32_t* b, size_t n,
-                    uint64_t* mask) {
-  Eq2MaskAvx2<false>(a, b, n, mask);
-}
-void Eq2MaskAndAvx2(const uint32_t* a, const uint32_t* b, size_t n,
-                    uint64_t* mask) {
-  Eq2MaskAvx2<true>(a, b, n, mask);
-}
-
-/// perm[bits] = lane permutation packing the set lanes of an 8-bit mask
-/// to the front (the AVX2 stand-in for AVX-512 compress-store).
-struct CompactLut {
-  alignas(32) uint32_t perm[256][8];
-  CompactLut() {
-    for (int bits = 0; bits < 256; ++bits) {
-      int k = 0;
-      for (int l = 0; l < 8; ++l) {
-        if (bits & (1 << l)) perm[bits][k++] = static_cast<uint32_t>(l);
-      }
-      for (; k < 8; ++k) perm[bits][k] = 0;
-    }
-  }
-};
-
-size_t CompactU32Avx2(const uint32_t* src, const uint64_t* mask, size_t n,
-                      uint32_t* out) {
-  static const CompactLut lut;
-  size_t k = 0;
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = mask[w];
-    if (word == 0) continue;
-    size_t base = w * 64;
-    size_t groups = (n - base < 64 ? RoundUpLanes(n - base) : 64) / 8;
-    for (size_t g = 0; g < groups; ++g) {
-      uint32_t bits = (word >> (g * 8)) & 0xFF;
-      if (bits == 0) continue;
-      __m256i sv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(src + base + g * 8));
-      if (bits == 0xFF) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), sv);
-        k += 8;
-        continue;
-      }
-      __m256i pv = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(lut.perm[bits]));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
-                          _mm256_permutevar8x32_epi32(sv, pv));
-      k += static_cast<size_t>(__builtin_popcount(bits));
-    }
-  }
-  return k;
-}
-
-/// HashStep over 4 × uint64 lanes: h ^= vh + C + (h << 6) + (h >> 2).
-inline __m256i HashStep4(__m256i h, __m256i vh) {
-  const __m256i c = _mm256_set1_epi64x(0x9e3779b97f4a7c15LL);
-  __m256i t = _mm256_add_epi64(vh, c);
-  t = _mm256_add_epi64(t, _mm256_slli_epi64(h, 6));
-  t = _mm256_add_epi64(t, _mm256_srli_epi64(h, 2));
-  return _mm256_xor_si256(h, t);
-}
-
-void HashMixAvx2(const uint64_t* vh, const uint32_t* codes, size_t n,
-                 uint64_t* h) {
-  for (size_t i = 0; i < RoundUpLanes(n); i += 8) {
-    __m256i cv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    __m128i lo = _mm256_castsi256_si128(cv);
-    __m128i hi = _mm256_extracti128_si256(cv, 1);
-    __m256i vh_lo = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(vh), lo, 8);
-    __m256i vh_hi = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(vh), hi, 8);
-    __m256i h_lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + i));
-    __m256i h_hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + i + 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h + i),
-                        HashStep4(h_lo, vh_lo));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h + i + 4),
-                        HashStep4(h_hi, vh_hi));
-  }
-}
-
-void HashMixConstAvx2(uint64_t hv, size_t n, uint64_t* h) {
-  __m256i vv = _mm256_set1_epi64x(static_cast<long long>(hv));
-  for (size_t i = 0; i < RoundUpLanes(n); i += 4) {
-    __m256i hvv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h + i),
-                        HashStep4(hvv, vv));
-  }
-}
-
-constexpr SimdOps kVectorOps = {
-    FillU32Avx2,    FillU64Avx2,    IotaU32Avx2,    CopyU32Scalar,
-    GatherU32Avx2,  EqMaskSetAvx2,  EqMaskAndAvx2,  Eq2MaskSetAvx2,
-    Eq2MaskAndAvx2, CompactU32Avx2, HashMixAvx2,    HashMixConstAvx2,
-};
-constexpr const char* kBackendName = "avx2";
-
-#elif defined(REVERE_SIMD_SSE2)
-
-// ---------------------------------------------------------------------
-// SSE2 backend: 4 × uint32 compare lanes. SSE2 has no gather and no
-// lane permute, so gather/compact/hash stay scalar — the filter compare
-// is the only loop where 4-wide already pays on this baseline.
-// ---------------------------------------------------------------------
-
-/// 4 compare lanes -> 4 mask bits.
-inline uint32_t EqBits4(__m128i a, __m128i b) {
-  return static_cast<uint32_t>(
-      _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(a, b))));
-}
-
-template <bool kAnd>
-void EqMaskSse2(const uint32_t* a, uint32_t want, size_t n, uint64_t* mask) {
-  const __m128i wv = _mm_set1_epi32(static_cast<int>(want));
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t base = w * 64;
-    size_t groups = (n - base < 64 ? RoundUpLanes(n - base) : 64) / 4;
-    for (size_t g = 0; g < groups; ++g) {
-      __m128i av = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(a + base + g * 4));
-      word |= static_cast<uint64_t>(EqBits4(av, wv)) << (g * 4);
-    }
-    if (kAnd) {
-      mask[w] &= word;
-    } else {
-      mask[w] = word;
-    }
-  }
-  TrimMask(n, mask);
-}
-
-template <bool kAnd>
-void Eq2MaskSse2(const uint32_t* a, const uint32_t* b, size_t n,
-                 uint64_t* mask) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t base = w * 64;
-    size_t groups = (n - base < 64 ? RoundUpLanes(n - base) : 64) / 4;
-    for (size_t g = 0; g < groups; ++g) {
-      __m128i av = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(a + base + g * 4));
-      __m128i bv = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + base + g * 4));
-      word |= static_cast<uint64_t>(EqBits4(av, bv)) << (g * 4);
-    }
-    if (kAnd) {
-      mask[w] &= word;
-    } else {
-      mask[w] = word;
-    }
-  }
-  TrimMask(n, mask);
-}
-
-void EqMaskSetSse2(const uint32_t* a, uint32_t want, size_t n,
-                   uint64_t* mask) {
-  EqMaskSse2<false>(a, want, n, mask);
-}
-void EqMaskAndSse2(const uint32_t* a, uint32_t want, size_t n,
-                   uint64_t* mask) {
-  EqMaskSse2<true>(a, want, n, mask);
-}
-void Eq2MaskSetSse2(const uint32_t* a, const uint32_t* b, size_t n,
-                    uint64_t* mask) {
-  Eq2MaskSse2<false>(a, b, n, mask);
-}
-void Eq2MaskAndSse2(const uint32_t* a, const uint32_t* b, size_t n,
-                    uint64_t* mask) {
-  Eq2MaskSse2<true>(a, b, n, mask);
-}
-
-constexpr SimdOps kVectorOps = {
-    FillU32Scalar,    FillU64Scalar,    IotaU32Scalar,    CopyU32Scalar,
-    GatherU32Scalar,  EqMaskSetSse2,    EqMaskAndSse2,    Eq2MaskSetSse2,
-    Eq2MaskAndSse2,   CompactU32Scalar, HashMixScalar,    HashMixConstScalar,
-};
-constexpr const char* kBackendName = "sse2";
-
-#elif defined(REVERE_SIMD_NEON)
-
-// ---------------------------------------------------------------------
-// NEON backend: 4 × uint32 compare lanes (no gather on plain NEON;
-// gather/compact/hash stay scalar, as on SSE2).
-// ---------------------------------------------------------------------
-
-/// 4 compare lanes -> 4 mask bits via narrow-to-16 + lane extraction.
-inline uint32_t EqBits4Neon(uint32x4_t eq) {
-  uint16x4_t narrow = vmovn_u32(eq);
-  uint64_t m = vget_lane_u64(vreinterpret_u64_u16(narrow), 0);
-  return static_cast<uint32_t>((m & 1) | ((m >> 15) & 2) | ((m >> 30) & 4) |
-                               ((m >> 45) & 8));
-}
-
-template <bool kAnd>
-void EqMaskNeon(const uint32_t* a, uint32_t want, size_t n, uint64_t* mask) {
-  const uint32x4_t wv = vdupq_n_u32(want);
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t base = w * 64;
-    size_t groups = (n - base < 64 ? RoundUpLanes(n - base) : 64) / 4;
-    for (size_t g = 0; g < groups; ++g) {
-      uint32x4_t av = vld1q_u32(a + base + g * 4);
-      word |= static_cast<uint64_t>(EqBits4Neon(vceqq_u32(av, wv)))
-              << (g * 4);
-    }
-    if (kAnd) {
-      mask[w] &= word;
-    } else {
-      mask[w] = word;
-    }
-  }
-  TrimMask(n, mask);
-}
-
-template <bool kAnd>
-void Eq2MaskNeon(const uint32_t* a, const uint32_t* b, size_t n,
-                 uint64_t* mask) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    size_t base = w * 64;
-    size_t groups = (n - base < 64 ? RoundUpLanes(n - base) : 64) / 4;
-    for (size_t g = 0; g < groups; ++g) {
-      uint32x4_t av = vld1q_u32(a + base + g * 4);
-      uint32x4_t bv = vld1q_u32(b + base + g * 4);
-      word |= static_cast<uint64_t>(EqBits4Neon(vceqq_u32(av, bv)))
-              << (g * 4);
-    }
-    if (kAnd) {
-      mask[w] &= word;
-    } else {
-      mask[w] = word;
-    }
-  }
-  TrimMask(n, mask);
-}
-
-void EqMaskSetNeon(const uint32_t* a, uint32_t want, size_t n,
-                   uint64_t* mask) {
-  EqMaskNeon<false>(a, want, n, mask);
-}
-void EqMaskAndNeon(const uint32_t* a, uint32_t want, size_t n,
-                   uint64_t* mask) {
-  EqMaskNeon<true>(a, want, n, mask);
-}
-void Eq2MaskSetNeon(const uint32_t* a, const uint32_t* b, size_t n,
-                    uint64_t* mask) {
-  Eq2MaskNeon<false>(a, b, n, mask);
-}
-void Eq2MaskAndNeon(const uint32_t* a, const uint32_t* b, size_t n,
-                    uint64_t* mask) {
-  Eq2MaskNeon<true>(a, b, n, mask);
-}
-
-constexpr SimdOps kVectorOps = {
-    FillU32Scalar,    FillU64Scalar,    IotaU32Scalar,    CopyU32Scalar,
-    GatherU32Scalar,  EqMaskSetNeon,    EqMaskAndNeon,    Eq2MaskSetNeon,
-    Eq2MaskAndNeon,   CompactU32Scalar, HashMixScalar,    HashMixConstScalar,
-};
-constexpr const char* kBackendName = "neon";
-
-#else
-
-constexpr SimdOps kVectorOps = kScalarOps;
-constexpr const char* kBackendName = "scalar";
-
-#endif
 
 }  // namespace
 
-const SimdOps& ScalarOps() { return kScalarOps; }
-const SimdOps& VectorOps() { return kVectorOps; }
-const char* BackendName() { return kBackendName; }
-bool HasVectorBackend() {
-#if defined(REVERE_SIMD_SCALAR)
-  return false;
-#else
-  return true;
-#endif
+void FillU32(uint32_t v, size_t n, uint32_t* out) { std::fill_n(out, n, v); }
+
+void FillU64(uint64_t v, size_t n, uint64_t* out) { std::fill_n(out, n, v); }
+
+void IotaU32(uint32_t base, size_t n, uint32_t* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = base + static_cast<uint32_t>(i);
+}
+
+void CopyU32(const uint32_t* src, size_t n, uint32_t* out) {
+  std::copy_n(src, n, out);
+}
+
+void GatherU32(const uint32_t* vals, const uint32_t* idx, size_t n,
+               uint32_t* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = vals[idx[i]];
+}
+
+void EqMaskSet(const uint32_t* a, uint32_t want, size_t n, uint64_t* mask) {
+  for (size_t w = 0; w < MaskWords(n); ++w) {
+    mask[w] = MaskWord(w, n, [&](size_t i) { return a[i] == want; });
+  }
+}
+
+void EqMaskAnd(const uint32_t* a, uint32_t want, size_t n, uint64_t* mask) {
+  for (size_t w = 0; w < MaskWords(n); ++w) {
+    mask[w] &= MaskWord(w, n, [&](size_t i) { return a[i] == want; });
+  }
+}
+
+void Eq2MaskSet(const uint32_t* a, const uint32_t* b, size_t n,
+                uint64_t* mask) {
+  for (size_t w = 0; w < MaskWords(n); ++w) {
+    mask[w] = MaskWord(w, n, [&](size_t i) { return a[i] == b[i]; });
+  }
+}
+
+void Eq2MaskAnd(const uint32_t* a, const uint32_t* b, size_t n,
+                uint64_t* mask) {
+  for (size_t w = 0; w < MaskWords(n); ++w) {
+    mask[w] &= MaskWord(w, n, [&](size_t i) { return a[i] == b[i]; });
+  }
+}
+
+size_t CompactU32(const uint32_t* src, const uint64_t* mask, size_t n,
+                  uint32_t* out) {
+  size_t k = 0;
+  for (size_t w = 0; w < MaskWords(n); ++w) {
+    for (uint64_t word = mask[w]; word != 0; word &= word - 1) {
+      out[k++] = src[w * 64 + static_cast<size_t>(__builtin_ctzll(word))];
+    }
+  }
+  return k;
+}
+
+void HashMix(const uint64_t* vh, const uint32_t* codes, size_t n,
+             uint64_t* h) {
+  for (size_t i = 0; i < n; ++i) h[i] = HashStep(h[i], vh[codes[i]]);
+}
+
+void HashMixConst(uint64_t hv, size_t n, uint64_t* h) {
+  for (size_t i = 0; i < n; ++i) h[i] = HashStep(h[i], hv);
 }
 
 }  // namespace revere::simd

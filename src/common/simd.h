@@ -6,105 +6,59 @@
 
 namespace revere::simd {
 
-/// Portable SIMD kernel layer over `uint32` code arrays (ISSUE 8).
+/// Kernel layer over `uint32` code arrays for the columnar engine.
 ///
-/// The columnar engine's hot loops — constant filters, repeated-variable
+/// The engine's hot loops — constant filters, repeated-variable
 /// equality checks, grouped-index gathers, and the code-domain row-hash
 /// mix at the output boundary — are expressed against this small kernel
-/// vocabulary instead of raw loops. One backend is selected at compile
-/// time inside simd.cc (AVX2 > SSE2 > NEON > scalar; the REVERE_NO_SIMD
-/// CMake option forces scalar), and every kernel also ships a scalar
-/// implementation selectable at runtime (`Ops(false)`), so a SIMD build
-/// can still run the fallback — that is what the fuzzer's
-/// `columnar_simd_vs_scalar` oracle and `EvalOptions::use_simd` drive.
+/// vocabulary. Each kernel is one plain loop that the compiler may
+/// auto-vectorize.
 ///
-/// ## Padding contract
+/// Bounds contract: a call with `n` elements touches elements [0, n) of
+/// every array argument and nothing past them (mask arrays: words
+/// [0, MaskWords(n))), so buffers are allocated with exactly `n`
+/// elements. `n == 0` touches nothing.
 ///
-/// Kernels process whole lanes: a call with `n` elements may read *and
-/// write* up to `RoundUpLanes(n)` elements of every array argument, and
-/// `compact_u32` may overshoot its output by up to one extra lane. All
-/// buffers handed to these kernels must therefore be allocated with
-/// `PaddedCount(n)` elements (ColumnTable over-allocates its `codes`
-/// and `group_rows` arrays by `kPad` for the same reason). Gather index
-/// arrays must contain *valid* indices in their padded tail too — the
-/// engine pads candidate tails with a known-valid row id — because a
-/// masked-off lane's gather still dereferences. Tail lanes never affect
-/// results: mask kernels zero bits >= n, and compact honours the mask.
-///
-/// All kernels are deterministic and bit-identical across backends:
-/// same inputs, same outputs, element for element — enforced by the
-/// scalar-vs-vector differential tests in tests/common_test.cc.
-
-/// Widest lane count any backend uses; the padding quantum.
-inline constexpr size_t kPad = 8;
-
-/// n rounded up to a whole number of kPad-lanes.
-inline constexpr size_t RoundUpLanes(size_t n) {
-  return (n + kPad - 1) & ~(kPad - 1);
-}
-
-/// Element count to allocate for an n-element kernel buffer: whole
-/// lanes plus one extra lane of slack for compact_u32 overshoot.
-inline constexpr size_t PaddedCount(size_t n) { return RoundUpLanes(n) + kPad; }
+/// Masks are bit-per-element uint64 words: bit i of word i/64 is
+/// element i. Mask kernels keep bits >= n zero, so compaction needs no
+/// separate bound.
 
 /// 64-bit words needed for an n-element bitmask.
 inline constexpr size_t MaskWords(size_t n) { return (n + 63) / 64; }
 
-/// The kernel vocabulary. Masks are bit-per-element uint64 words, bit i
-/// of word i/64 = element i; mask kernels keep bits >= n zero.
-struct SimdOps {
-  /// out[i] = v for i < RoundUpLanes(n).
-  void (*fill_u32)(uint32_t v, size_t n, uint32_t* out);
-  void (*fill_u64)(uint64_t v, size_t n, uint64_t* out);
-  /// out[i] = base + i for i < RoundUpLanes(n).
-  void (*iota_u32)(uint32_t base, size_t n, uint32_t* out);
-  /// out[i] = src[i] for i < RoundUpLanes(n). src/out must not overlap.
-  void (*copy_u32)(const uint32_t* src, size_t n, uint32_t* out);
-  /// out[i] = vals[idx[i]] for i < RoundUpLanes(n). Every idx[i] in the
-  /// padded extent must be a valid index into vals. `idx == out`
-  /// aliasing is allowed (each lane loads before it stores).
-  void (*gather_u32)(const uint32_t* vals, const uint32_t* idx, size_t n,
-                     uint32_t* out);
-  /// mask bit i = (a[i] == want), i < n; bits >= n cleared.
-  void (*eq_mask_set)(const uint32_t* a, uint32_t want, size_t n,
-                      uint64_t* mask);
-  /// mask bit i &= (a[i] == want).
-  void (*eq_mask_and)(const uint32_t* a, uint32_t want, size_t n,
-                      uint64_t* mask);
-  /// mask bit i = (a[i] == b[i]), i < n; bits >= n cleared.
-  void (*eq2_mask_set)(const uint32_t* a, const uint32_t* b, size_t n,
-                       uint64_t* mask);
-  /// mask bit i &= (a[i] == b[i]).
-  void (*eq2_mask_and)(const uint32_t* a, const uint32_t* b, size_t n,
-                       uint64_t* mask);
-  /// out[k++] = src[i] for each set mask bit i < n, ascending; returns
-  /// k. May write up to one lane past the last element emitted.
-  size_t (*compact_u32)(const uint32_t* src, const uint64_t* mask, size_t n,
-                        uint32_t* out);
-  /// h[i] = HashStep(h[i], vh[codes[i]]) for i < RoundUpLanes(n) — the
-  /// code-domain row-hash mix (vh = per-dictionary value hashes). Every
-  /// codes[i] in the padded extent must be a valid index into vh.
-  void (*hash_mix)(const uint64_t* vh, const uint32_t* codes, size_t n,
-                   uint64_t* h);
-  /// h[i] = HashStep(h[i], hv) — constant / unbound head positions.
-  void (*hash_mix_const)(uint64_t hv, size_t n, uint64_t* h);
-};
+/// out[i] = v.
+void FillU32(uint32_t v, size_t n, uint32_t* out);
+void FillU64(uint64_t v, size_t n, uint64_t* out);
+/// out[i] = base + i.
+void IotaU32(uint32_t base, size_t n, uint32_t* out);
+/// out[i] = src[i]. src/out must not overlap.
+void CopyU32(const uint32_t* src, size_t n, uint32_t* out);
+/// out[i] = vals[idx[i]]. `idx == out` aliasing is allowed.
+void GatherU32(const uint32_t* vals, const uint32_t* idx, size_t n,
+               uint32_t* out);
+/// mask bit i = (a[i] == want).
+void EqMaskSet(const uint32_t* a, uint32_t want, size_t n, uint64_t* mask);
+/// mask bit i &= (a[i] == want).
+void EqMaskAnd(const uint32_t* a, uint32_t want, size_t n, uint64_t* mask);
+/// mask bit i = (a[i] == b[i]).
+void Eq2MaskSet(const uint32_t* a, const uint32_t* b, size_t n,
+                uint64_t* mask);
+/// mask bit i &= (a[i] == b[i]).
+void Eq2MaskAnd(const uint32_t* a, const uint32_t* b, size_t n,
+                uint64_t* mask);
+/// out[k++] = src[i] for each set mask bit i < n, ascending; returns k.
+/// Writes exactly out[0, k).
+size_t CompactU32(const uint32_t* src, const uint64_t* mask, size_t n,
+                  uint32_t* out);
+/// h[i] = HashStep(h[i], vh[codes[i]]) — the code-domain row-hash mix
+/// (vh = per-dictionary value hashes).
+void HashMix(const uint64_t* vh, const uint32_t* codes, size_t n,
+             uint64_t* h);
+/// h[i] = HashStep(h[i], hv) — constant / unbound head positions.
+void HashMixConst(uint64_t hv, size_t n, uint64_t* h);
 
-/// Kernel table: `Ops(true)` returns the compiled vector backend (the
-/// scalar table when the build has none), `Ops(false)` always returns
-/// the scalar table.
-const SimdOps& ScalarOps();
-const SimdOps& VectorOps();
-inline const SimdOps& Ops(bool use_simd) {
-  return use_simd ? VectorOps() : ScalarOps();
-}
-
-/// Compile-time backend of VectorOps(): "avx2", "sse2", "neon", or
-/// "scalar" (also under REVERE_NO_SIMD).
-const char* BackendName();
-
-/// True when VectorOps() is actually vectorized.
-bool HasVectorBackend();
+/// Name of the kernel implementation, reported as a machine fact.
+inline const char* BackendName() { return "scalar"; }
 
 }  // namespace revere::simd
 

@@ -25,50 +25,48 @@ namespace revere::fuzz {
 /// stored as data so it can be shrunk element-by-element and written to
 /// a replayable seed file. CheckCase() drives each case through every
 /// engine configuration the seed semantics has grown fast paths for and
-/// asserts the invariants that make those paths exact:
+/// asserts the 11 oracles that make those paths exact (numbered as in
+/// CheckCase):
 ///
-///   slots_vs_map      slot-compiled evaluation == legacy map engine
-///   index_vs_scan     on-demand/pre-built indexes == pure scans
-///   plan_cache        cache off == cold miss == warm hit (hit flagged)
-///   workers           pool-parallel Answer/EvaluateUnion == serial
-///   fault_replay      same fault seed => byte-identical run (rows,
-///                     completeness accounting, simulated clock), and
-///                     best-effort answers are a subset of fault-free
-///   batch_vs_answer   AnswerBatch slots == standalone Answer calls
-///   trace             tracing changes no answer; the span tree is
-///                     well-formed (parents exist, names nest per the
-///                     answer-path schema)
-///   serve_vs_answer   RevereServer with an infinite deadline, no
-///                     breakers, and an unlimited retry budget ==
-///                     direct Answer calls, byte for byte (rows,
-///                     statuses, completeness accounting) — the
-///                     overload machinery costs nothing when off
-///   columnar_vs_slots the columnar vectorized engine == the slot
-///                     engine byte for byte (rows, statuses, stats) in
-///                     every configuration — serial and pooled, fault-
-///                     free and faulted — and its answer digest matches
-///                     the map-engine oracle's
-///   columnar_simd_vs_scalar
-///                     the columnar engine's vector kernel backend ==
-///                     the forced-scalar fallback (EvalOptions::
-///                     use_simd=false) byte for byte, fault-free and
-///                     faulted, digest-pinned to the map engine
-///   pruned_vs_exhaustive
-///                     the route-mode best-first search (ISSUE 9) with
-///                     an unlimited budget == the legacy exhaustive BFS
-///                     byte for byte (rows, statuses, stats, zero
-///                     pruning counters); with a bounded max_path_cost
-///                     it may only *remove* answers — every returned
-///                     row is in the exhaustive answer — with sane
-///                     pruning accounting, fault-free and faulted
-///   snapshot_vs_quiesced
-///                     MVCC (ISSUE 10): answers computed while a writer
-///                     thread churns every stored relation == the same
-///                     queries re-run over the SAME pinned versions
-///                     after the writer quiesces, byte for byte (rows,
-///                     statuses, stats, digest) — readers never observe
-///                     a torn or shifting table, and under TSan the
-///                     whole Snapshot/Publish protocol is race-checked
+///    1 slots_vs_map      slot-compiled evaluation == legacy map engine
+///    2 index_vs_scan     on-demand/pre-built indexes == pure scans
+///    3 plan_cache        cache off == cold miss == warm hit (hit flagged)
+///    4 workers           pool-parallel Answer/EvaluateUnion == serial
+///    5 fault_replay      same fault seed => byte-identical run (rows,
+///                        completeness accounting, simulated clock), and
+///                        best-effort answers are a subset of fault-free
+///    6 batch_vs_answer   AnswerBatch slots == standalone Answer calls
+///    7 trace             tracing changes no answer; the span tree is
+///                        well-formed (parents exist, names nest per the
+///                        answer-path schema)
+///    8 serve_vs_answer   RevereServer with an infinite deadline, no
+///                        breakers, and an unlimited retry budget ==
+///                        direct Answer calls, byte for byte (rows,
+///                        statuses, completeness accounting) — the
+///                        overload machinery costs nothing when off
+///    9 columnar_vs_slots the columnar vectorized engine == the slot
+///                        engine byte for byte (rows, statuses, stats) in
+///                        every configuration — serial and pooled, fault-
+///                        free and faulted — and its answer digest
+///                        matches the map-engine oracle's
+///   10 pruned_vs_exhaustive
+///                        the route-mode best-first search (ISSUE 9) with
+///                        an unlimited budget == the legacy exhaustive
+///                        BFS byte for byte (rows, statuses, stats, zero
+///                        pruning counters); with a bounded
+///                        max_path_cost it may only *remove* answers —
+///                        every returned row is in the exhaustive answer
+///                        — with sane pruning accounting, fault-free and
+///                        faulted
+///   11 snapshot_vs_quiesced
+///                        MVCC (ISSUE 10): answers computed while a
+///                        writer thread churns every stored relation ==
+///                        the same queries re-run over the SAME pinned
+///                        versions after the writer quiesces, byte for
+///                        byte (rows, statuses, stats, digest) — readers
+///                        never observe a torn or shifting table, and
+///                        under TSan the whole Snapshot/Publish protocol
+///                        is race-checked
 ///
 /// plus cross-cutting stats invariants (peers_contacted bounds,
 /// completeness arithmetic, plan-cache hit/miss flags).

@@ -585,7 +585,7 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
 ///    budget (`max_path_cost` → pruned_cost) and redundant-path
 ///    elimination (`prune_redundant_paths` → pruned_redundant). With
 ///    uniform costs and no budget its pop order equals the FIFO order,
-///    so the rewriting sets coincide (fuzz oracle 11).
+///    so the rewriting sets coincide (fuzz oracle 10).
 ///
 /// Scoped invalidation (default): plans record every peer their search
 /// touched with that peer's stamp; Lookup revalidates through a scope

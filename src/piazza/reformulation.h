@@ -38,7 +38,7 @@ struct ReformulationOptions {
   /// at every node. With every budget below unlimited (max_path_cost
   /// = 0, prune_redundant_paths = false) the rewriting set is identical
   /// to the legacy breadth-first search — uniform edge costs make the
-  /// priority queue pop in exact BFS order — which the eleventh fuzz
+  /// priority queue pop in exact BFS order — which the tenth fuzz
   /// oracle (`pruned_vs_exhaustive`) checks case by case.
   bool use_route_search = false;
   /// Cost budget: a search path whose accumulated RouteTable edge cost

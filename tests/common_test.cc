@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -283,144 +284,175 @@ TEST(HashTest, HashCombineIsHashStepOverStdHash) {
 }
 
 // ---------------------------------------------------------------------
-// SIMD kernel layer (ISSUE 8): every vector kernel must agree with the
-// scalar reference element for element, including whole-lane padded
-// tails, for every alignment/length class.
+// Columnar kernel layer (common/simd.h): every kernel against a
+// hand-computed expectation, for lengths on both sides of the 64-bit
+// mask-word boundaries, plus the bounds contract — no kernel writes an
+// element past the count it is given.
 // ---------------------------------------------------------------------
 
 class SimdKernelTest : public ::testing::TestWithParam<size_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Lengths, SimdKernelTest,
-                         ::testing::Values(1, 3, 7, 8, 9, 15, 16, 17, 63, 64,
-                                           65, 100, 127, 128, 200, 1024));
+                         ::testing::Values(0, 1, 3, 7, 8, 9, 15, 16, 17, 63,
+                                           64, 65, 100, 127, 128, 200, 1024));
 
 namespace {
 
+/// Sentinel elements after the last one a kernel may write; they must
+/// come back untouched.
+constexpr size_t kGuardLen = 16;
+constexpr uint32_t kGuard32 = 0xA5A5A5A5u;
+constexpr uint64_t kGuard64 = 0xA5A5A5A5A5A5A5A5ull;
+
 std::vector<uint32_t> RandomU32(Rng* rng, size_t n, uint32_t lo, uint32_t hi) {
-  std::vector<uint32_t> v(simd::PaddedCount(n));
+  std::vector<uint32_t> v(n);
   for (auto& x : v) x = static_cast<uint32_t>(rng->UniformInt(lo, hi));
   return v;
 }
 
-}  // namespace
-
-TEST_P(SimdKernelTest, FillIotaCopyMatchScalar) {
-  const size_t n = GetParam();
-  const simd::SimdOps& vec = simd::VectorOps();
-  const simd::SimdOps& sc = simd::ScalarOps();
-  // Same sentinel in both buffers: the compare then also proves neither
-  // backend writes past RoundUpLanes(n) into the pad slack.
-  std::vector<uint32_t> a(simd::PaddedCount(n), 0xAA), b(simd::PaddedCount(n),
-                                                         0xAA);
-  vec.fill_u32(42, n, a.data());
-  sc.fill_u32(42, n, b.data());
-  EXPECT_EQ(a, b);
-  vec.iota_u32(17, n, a.data());
-  sc.iota_u32(17, n, b.data());
-  EXPECT_EQ(a, b);
-  Rng rng(1);
-  std::vector<uint32_t> src = RandomU32(&rng, n, 0, 1u << 30);
-  vec.copy_u32(src.data(), n, a.data());
-  sc.copy_u32(src.data(), n, b.data());
-  EXPECT_EQ(a, b);
-  std::vector<uint64_t> ha(simd::PaddedCount(n), 1), hb(simd::PaddedCount(n),
-                                                        1);
-  vec.fill_u64(0xdeadbeefcafef00dULL, n, ha.data());
-  sc.fill_u64(0xdeadbeefcafef00dULL, n, hb.data());
-  EXPECT_EQ(ha, hb);
+/// A buffer for an n-element output followed by kGuardLen sentinels.
+template <typename T>
+std::vector<T> Guarded(size_t n, T guard) {
+  return std::vector<T>(n + kGuardLen, guard);
 }
 
-TEST_P(SimdKernelTest, GatherMatchesScalarAndAllowsAliasing) {
+/// out[0, want.size()) == want and every later element still `guard`.
+template <typename T>
+void ExpectExactly(const std::vector<T>& out, const std::vector<T>& want,
+                   T guard) {
+  ASSERT_GE(out.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i], want[i]) << "element " << i;
+  }
+  for (size_t i = want.size(); i < out.size(); ++i) {
+    EXPECT_EQ(out[i], guard) << "write past the end at " << i;
+  }
+}
+
+/// The n-element mask whose bit i is pred(i), built bit by bit.
+template <typename Pred>
+std::vector<uint64_t> MaskOf(size_t n, Pred pred) {
+  std::vector<uint64_t> mask(simd::MaskWords(n), 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (pred(i)) mask[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  return mask;
+}
+
+}  // namespace
+
+TEST_P(SimdKernelTest, FillIotaCopy) {
+  const size_t n = GetParam();
+  std::vector<uint32_t> out = Guarded(n, kGuard32);
+  simd::FillU32(42, n, out.data());
+  ExpectExactly(out, std::vector<uint32_t>(n, 42), kGuard32);
+
+  out = Guarded(n, kGuard32);
+  simd::IotaU32(17, n, out.data());
+  std::vector<uint32_t> want(n);
+  for (size_t i = 0; i < n; ++i) want[i] = 17 + static_cast<uint32_t>(i);
+  ExpectExactly(out, want, kGuard32);
+
+  Rng rng(1);
+  std::vector<uint32_t> src = RandomU32(&rng, n, 0, 1u << 30);
+  out = Guarded(n, kGuard32);
+  simd::CopyU32(src.data(), n, out.data());
+  ExpectExactly(out, src, kGuard32);
+
+  std::vector<uint64_t> out64 = Guarded(n, kGuard64);
+  simd::FillU64(0xdeadbeefcafef00dULL, n, out64.data());
+  ExpectExactly(out64, std::vector<uint64_t>(n, 0xdeadbeefcafef00dULL),
+                kGuard64);
+}
+
+TEST_P(SimdKernelTest, GatherAllowsAliasing) {
   const size_t n = GetParam();
   Rng rng(2);
   std::vector<uint32_t> vals = RandomU32(&rng, 300, 0, 1u << 20);
   std::vector<uint32_t> idx = RandomU32(&rng, n, 0, 299);
-  std::vector<uint32_t> a(simd::PaddedCount(n)), b(simd::PaddedCount(n));
-  simd::VectorOps().gather_u32(vals.data(), idx.data(), n, a.data());
-  simd::ScalarOps().gather_u32(vals.data(), idx.data(), n, b.data());
-  EXPECT_EQ(a, b);
-  // idx == out aliasing: must equal the non-aliased result. Only the
-  // processed prefix is defined — the pad slack past RoundUpLanes(n)
-  // still holds the (random) index values.
-  std::vector<uint32_t> alias = idx;
-  simd::VectorOps().gather_u32(vals.data(), alias.data(), n, alias.data());
-  alias.resize(simd::RoundUpLanes(n));
-  std::vector<uint32_t> prefix(a.begin(),
-                               a.begin() + static_cast<long>(alias.size()));
-  EXPECT_EQ(alias, prefix);
+  std::vector<uint32_t> want(n);
+  for (size_t i = 0; i < n; ++i) want[i] = vals[idx[i]];
+  std::vector<uint32_t> out = Guarded(n, kGuard32);
+  simd::GatherU32(vals.data(), idx.data(), n, out.data());
+  ExpectExactly(out, want, kGuard32);
+  // idx == out aliasing gives the non-aliased result.
+  std::vector<uint32_t> alias = Guarded(n, kGuard32);
+  std::copy(idx.begin(), idx.end(), alias.begin());
+  simd::GatherU32(vals.data(), alias.data(), n, alias.data());
+  ExpectExactly(alias, want, kGuard32);
 }
 
-TEST_P(SimdKernelTest, MasksAndCompactMatchScalar) {
+TEST_P(SimdKernelTest, EqualityMasks) {
   const size_t n = GetParam();
   Rng rng(3);
   // Narrow value range so equalities actually hit.
   std::vector<uint32_t> a = RandomU32(&rng, n, 0, 3);
   std::vector<uint32_t> b = RandomU32(&rng, n, 0, 3);
-  std::vector<uint64_t> mv(simd::MaskWords(n)), ms(simd::MaskWords(n));
-  const simd::SimdOps& vec = simd::VectorOps();
-  const simd::SimdOps& sc = simd::ScalarOps();
-  vec.eq_mask_set(a.data(), 2, n, mv.data());
-  sc.eq_mask_set(a.data(), 2, n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq2_mask_and(a.data(), b.data(), n, mv.data());
-  sc.eq2_mask_and(a.data(), b.data(), n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq2_mask_set(a.data(), b.data(), n, mv.data());
-  sc.eq2_mask_set(a.data(), b.data(), n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq_mask_and(b.data(), 1, n, mv.data());
-  sc.eq_mask_and(b.data(), 1, n, ms.data());
-  EXPECT_EQ(mv, ms);
-  // Mask bits beyond n must be zero (compact relies on it).
-  if (n % 64 != 0) {
-    EXPECT_EQ(mv[n / 64] >> (n % 64), 0u);
-  }
-  std::vector<uint32_t> cv(simd::PaddedCount(n), 0), cs(simd::PaddedCount(n),
-                                                        0);
-  size_t kv = vec.compact_u32(a.data(), mv.data(), n, cv.data());
-  size_t ks = sc.compact_u32(a.data(), ms.data(), n, cs.data());
-  ASSERT_EQ(kv, ks);
-  for (size_t i = 0; i < kv; ++i) EXPECT_EQ(cv[i], cs[i]);
-  // All-ones and all-zeros masks as edge cases.
-  std::vector<uint64_t> full(simd::MaskWords(n), ~uint64_t{0});
-  if (n % 64 != 0) full[n / 64] = (uint64_t{1} << (n % 64)) - 1;
-  kv = vec.compact_u32(a.data(), full.data(), n, cv.data());
-  ASSERT_EQ(kv, n);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(cv[i], a[i]);
-  std::vector<uint64_t> none(simd::MaskWords(n), 0);
-  EXPECT_EQ(vec.compact_u32(a.data(), none.data(), n, cv.data()), 0u);
+  const size_t words = simd::MaskWords(n);
+  // Garbage in the mask (bits >= n included) before a Set: it must
+  // leave exactly the predicate bits behind.
+  std::vector<uint64_t> mask = Guarded(words, kGuard64);
+  simd::EqMaskSet(a.data(), 2, n, mask.data());
+  ExpectExactly(mask, MaskOf(n, [&](size_t i) { return a[i] == 2; }),
+                kGuard64);
+  simd::Eq2MaskAnd(a.data(), b.data(), n, mask.data());
+  ExpectExactly(mask,
+                MaskOf(n, [&](size_t i) { return a[i] == 2 && a[i] == b[i]; }),
+                kGuard64);
+  simd::Eq2MaskSet(a.data(), b.data(), n, mask.data());
+  ExpectExactly(mask, MaskOf(n, [&](size_t i) { return a[i] == b[i]; }),
+                kGuard64);
+  simd::EqMaskAnd(b.data(), 1, n, mask.data());
+  ExpectExactly(mask,
+                MaskOf(n, [&](size_t i) { return a[i] == b[i] && b[i] == 1; }),
+                kGuard64);
 }
 
-TEST_P(SimdKernelTest, HashMixMatchesScalarAndHashStep) {
+TEST_P(SimdKernelTest, CompactWritesExactlyTheSelectedElements) {
   const size_t n = GetParam();
   Rng rng(4);
-  std::vector<uint64_t> vh(64 + simd::kPad);
-  for (auto& x : vh) x = rng.Next();
-  std::vector<uint32_t> codes = RandomU32(&rng, n, 0, 63);
-  std::vector<uint64_t> hv(simd::PaddedCount(n)), hs(simd::PaddedCount(n));
-  for (size_t i = 0; i < hv.size(); ++i) hv[i] = hs[i] = i * 1315423911u;
-  simd::VectorOps().hash_mix(vh.data(), codes.data(), n, hv.data());
-  simd::ScalarOps().hash_mix(vh.data(), codes.data(), n, hs.data());
-  EXPECT_EQ(hv, hs);
-  // And both must be the plain HashStep recurrence.
+  std::vector<uint32_t> src = RandomU32(&rng, n, 0, 1u << 30);
+  std::vector<uint64_t> mask = MaskOf(n, [&](size_t) {
+    return rng.UniformInt(0, 2) != 0;
+  });
+  std::vector<uint32_t> want;
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hv[i], HashStep(i * 1315423911u, vh[codes[i]]));
+    if ((mask[i / 64] >> (i % 64)) & 1) want.push_back(src[i]);
   }
-  simd::VectorOps().hash_mix_const(0x12345678u, n, hv.data());
-  simd::ScalarOps().hash_mix_const(0x12345678u, n, hs.data());
-  EXPECT_EQ(hv, hs);
+  // Sentinels start right after the n-element extent, and everything
+  // past the k elements emitted must still hold them too.
+  std::vector<uint32_t> out = Guarded(n, kGuard32);
+  EXPECT_EQ(simd::CompactU32(src.data(), mask.data(), n, out.data()),
+            want.size());
+  ExpectExactly(out, want, kGuard32);
+  // All-ones and all-zeros masks as edge cases.
+  out = Guarded(n, kGuard32);
+  std::vector<uint64_t> full = MaskOf(n, [](size_t) { return true; });
+  EXPECT_EQ(simd::CompactU32(src.data(), full.data(), n, out.data()), n);
+  ExpectExactly(out, src, kGuard32);
+  out = Guarded(n, kGuard32);
+  std::vector<uint64_t> none(simd::MaskWords(n), 0);
+  EXPECT_EQ(simd::CompactU32(src.data(), none.data(), n, out.data()), 0u);
+  ExpectExactly(out, std::vector<uint32_t>{}, kGuard32);
 }
 
-TEST(SimdBackendTest, OpsSelectionIsConsistent) {
-  // Ops(false) is always the scalar table; Ops(true) is the compiled
-  // backend (which may legitimately be scalar under REVERE_NO_SIMD).
-  EXPECT_EQ(&simd::Ops(false), &simd::ScalarOps());
-  EXPECT_EQ(&simd::Ops(true), &simd::VectorOps());
-  EXPECT_NE(simd::BackendName(), nullptr);
-#if defined(REVERE_NO_SIMD)
-  EXPECT_FALSE(simd::HasVectorBackend());
-  EXPECT_STREQ(simd::BackendName(), "scalar");
-#endif
+TEST_P(SimdKernelTest, HashMixIsTheHashStepChain) {
+  const size_t n = GetParam();
+  Rng rng(5);
+  std::vector<uint64_t> vh(64);
+  for (auto& x : vh) x = rng.Next();
+  std::vector<uint32_t> codes = RandomU32(&rng, n, 0, 63);
+  std::vector<uint64_t> h = Guarded(n, kGuard64);
+  for (size_t i = 0; i < n; ++i) h[i] = i * 1315423911u;
+  std::vector<uint64_t> want(n);
+  for (size_t i = 0; i < n; ++i) {
+    want[i] = HashStep(i * 1315423911u, vh[codes[i]]);
+  }
+  simd::HashMix(vh.data(), codes.data(), n, h.data());
+  ExpectExactly(h, want, kGuard64);
+  for (size_t i = 0; i < n; ++i) want[i] = HashStep(want[i], 0x12345678u);
+  simd::HashMixConst(0x12345678u, n, h.data());
+  ExpectExactly(h, want, kGuard64);
 }
 
 }  // namespace

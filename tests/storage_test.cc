@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/storage/catalog.h"
 #include "src/storage/executor.h"
 #include "src/storage/schema.h"
@@ -415,7 +414,7 @@ TEST(ColumnTableTest, GroupedIndexListsRowsAscending) {
   }
 }
 
-TEST(ColumnTableTest, SimdPaddingAndValueHashes) {
+TEST(ColumnTableTest, ExactSizesAndValueHashes) {
   Table t(TableSchema::AllStrings("s", {"a", "b"}));
   ASSERT_TRUE(t.InsertAll({{Value("x"), Value("u")},
                            {Value("y"), Value("u")},
@@ -424,16 +423,11 @@ TEST(ColumnTableTest, SimdPaddingAndValueHashes) {
   auto snap = t.EnsureColumnar();
   for (size_t c = 0; c < 2; ++c) {
     const auto& col = snap->column(c);
-    // ISSUE 8: codes/group_rows/dict_hashes are over-allocated by kPad
-    // zeros so whole-lane kernel tails cannot read out of bounds, and
-    // the pad values are themselves valid (code 0 / row 0).
-    ASSERT_EQ(col.codes.size(), snap->row_count() + simd::kPad);
-    ASSERT_EQ(col.group_rows.size(), snap->row_count() + simd::kPad);
-    ASSERT_EQ(col.dict_hashes.size(), col.dict.size() + simd::kPad);
-    for (size_t i = snap->row_count(); i < col.codes.size(); ++i) {
-      EXPECT_EQ(col.codes[i], 0u);
-      EXPECT_EQ(col.group_rows[i], 0u);
-    }
+    // One entry per row / per dictionary code, no slack: the kernels
+    // never touch an element past the count they are given.
+    ASSERT_EQ(col.codes.size(), snap->row_count());
+    ASSERT_EQ(col.group_rows.size(), snap->row_count());
+    ASSERT_EQ(col.dict_hashes.size(), col.dict.size());
     // dict_hashes[code] is exactly the dictionary value's hash — the
     // table the code-domain row hashing gathers through.
     for (size_t code = 0; code < col.dict.size(); ++code) {
