@@ -20,12 +20,17 @@
 //    bump. The hit_rate counter is the acceptance number: scoped stays
 //    warm (> 0.5) because a join only touches plans whose bounded peer
 //    path crosses the attach point; global decays toward 0.
+//    mutation_us is the mean wall time of one join's AddPeer +
+//    AddStoredRelation + AddMapping, and build_ms the time to build the
+//    overlay with BuildUniversityPdms: both are the cost of keeping
+//    mapping productivity current as the network grows.
 //
 // REVERE_BENCH_SMOKE=1 shrinks peer counts so CI exercises every cell
 // in milliseconds.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -184,7 +189,11 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
   options.peers = peers;
   options.rows_per_peer = 1;
   options.seed = 2003;
+  auto build_start = std::chrono::steady_clock::now();
   auto report = BuildUniversityPdms(&net, options);
+  double build_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - build_start)
+                        .count();
   if (!report.ok()) {
     state.SkipWithError("build failed");
     return;
@@ -212,11 +221,16 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
   }
 
   size_t hits = 0, answers = 0, serial = 0;
+  double mutation_us = 0.0;
   for (auto _ : state) {
     // Join: one new peer maps onto a rotating attach point. Leave: the
     // previous joiner drops off the network (fault), then recovers —
     // contact-level churn that scoped invalidation ignores entirely.
+    auto join_start = std::chrono::steady_clock::now();
     JoinPeer(&net, report.value(), serial, (serial * 13) % peers);
+    mutation_us += std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - join_start)
+                       .count();
     if (serial > 0) {
       std::string prev = "joiner" + std::to_string(serial - 1);
       faults.SetDown(prev);
@@ -236,6 +250,8 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
   state.counters["hit_rate"] =
       answers > 0 ? static_cast<double>(hits) / answers : 0.0;
   state.counters["churn_events"] = static_cast<double>(serial);
+  state.counters["mutation_us"] = serial > 0 ? mutation_us / serial : 0.0;
+  state.counters["build_ms"] = build_ms;
 }
 BENCHMARK(BM_RouteScale_ChurnWarmCache)
     ->Arg(0)

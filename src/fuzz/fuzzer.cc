@@ -273,35 +273,65 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
   return c;
 }
 
+namespace {
+
+/// Adds `t`'s peer (when new) and declares `t`'s relation there.
+Status AddCasePeer(const FuzzTable& t, PdmsNetwork* net) {
+  if (!net->HasPeer(t.peer)) {
+    REVERE_RETURN_IF_ERROR(net->AddPeer(t.peer).status());
+  }
+  REVERE_ASSIGN_OR_RETURN(piazza::Peer * peer, net->GetPeer(t.peer));
+  peer->DeclarePeerRelation(t.relation, t.arity);
+  return Status::Ok();
+}
+
+/// Creates `t` at its (existing) peer, fills it and builds its indexes.
+/// `through_catalog` creates the qualified table directly in the
+/// network's catalog instead of through AddStoredRelation.
+Status AddCaseTable(const FuzzTable& t, PdmsNetwork* net,
+                    bool through_catalog = false) {
+  std::vector<std::string> columns;
+  columns.reserve(t.arity);
+  for (size_t i = 0; i < t.arity; ++i) {
+    columns.push_back("c" + std::to_string(i));
+  }
+  storage::Table* table = nullptr;
+  if (through_catalog) {
+    REVERE_ASSIGN_OR_RETURN(
+        table, net->mutable_storage()->CreateTable(
+                   storage::TableSchema::AllStrings(
+                       QualifiedName(t.peer, t.relation), columns)));
+  } else {
+    REVERE_ASSIGN_OR_RETURN(
+        table, net->AddStoredRelation(t.peer, storage::TableSchema::AllStrings(
+                                                  t.relation, columns)));
+  }
+  for (const Row& row : t.rows) {
+    REVERE_RETURN_IF_ERROR(table->Insert(row));
+  }
+  for (size_t col : t.indexed_columns) {
+    REVERE_RETURN_IF_ERROR(table->CreateIndex(col));
+  }
+  return Status::Ok();
+}
+
+Status AddCaseMapping(const FuzzMapping& m, PdmsNetwork* net) {
+  return net->AddMapping(
+      PeerMapping{m.glav, m.source_peer, m.target_peer, m.bidirectional});
+}
+
+}  // namespace
+
 Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
   // The fuzzer runs thousands of networks per pass; keep their events
   // out of the process-wide metrics registry.
   net->set_metrics_enabled(false);
   for (const FuzzTable& t : c.tables) {
-    if (!net->HasPeer(t.peer)) {
-      REVERE_RETURN_IF_ERROR(net->AddPeer(t.peer).status());
-    }
-    REVERE_ASSIGN_OR_RETURN(piazza::Peer * peer, net->GetPeer(t.peer));
-    peer->DeclarePeerRelation(t.relation, t.arity);
-    std::vector<std::string> columns;
-    columns.reserve(t.arity);
-    for (size_t i = 0; i < t.arity; ++i) {
-      columns.push_back("c" + std::to_string(i));
-    }
-    REVERE_ASSIGN_OR_RETURN(
-        storage::Table * table,
-        net->AddStoredRelation(
-            t.peer, storage::TableSchema::AllStrings(t.relation, columns)));
-    for (const Row& row : t.rows) {
-      REVERE_RETURN_IF_ERROR(table->Insert(row));
-    }
-    for (size_t col : t.indexed_columns) {
-      REVERE_RETURN_IF_ERROR(table->CreateIndex(col));
-    }
+    REVERE_RETURN_IF_ERROR(AddCasePeer(t, net));
+    REVERE_RETURN_IF_ERROR(AddCaseTable(t, net));
   }
   for (const FuzzMapping& m : c.mappings) {
-    REVERE_RETURN_IF_ERROR(net->AddMapping(
-        PeerMapping{m.glav, m.source_peer, m.target_peer, m.bidirectional}));
+    REVERE_RETURN_IF_ERROR(AddCaseMapping(m, net));
   }
   return Status::Ok();
 }
@@ -924,6 +954,180 @@ void CheckSnapshotOracle(OracleContext* ctx, const FuzzCase& c) {
              "over the same pinned versions");
 }
 
+/// What one network says about the case's queries: per query, the
+/// reformulation's status and rewritings (cache off, one line each) and
+/// the answer outcome.
+struct NetworkView {
+  std::vector<std::string> rewritings;
+  std::vector<QueryOutcome> answers;
+};
+
+/// Answers every query of `c` on `net` (fault-free) with the plan cache
+/// on or off.
+std::vector<QueryOutcome> AnswerCase(const FuzzCase& c, const PdmsNetwork& net,
+                                     bool use_plan_cache) {
+  ReformulationOptions reform = c.reform;
+  reform.use_plan_cache = use_plan_cache;
+  std::vector<QueryOutcome> out;
+  for (const ConjunctiveQuery& q : c.queries) {
+    QueryOutcome o;
+    Result<std::vector<Row>> r = net.Answer(q, reform, &o.stats);
+    if (r.ok()) {
+      o.rows = std::move(r).value();
+    } else {
+      o.status = r.status();
+    }
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+/// Reformulates every query with the cache off, then answers them (cache
+/// on when `cached_answers`, so plans warmed while the network was
+/// being built are what gets served).
+NetworkView ViewNetwork(const FuzzCase& c, const PdmsNetwork& net,
+                        bool cached_answers) {
+  NetworkView view;
+  ReformulationOptions reform = c.reform;
+  reform.use_plan_cache = false;
+  for (const ConjunctiveQuery& q : c.queries) {
+    auto r = net.Reformulate(q, reform);
+    std::string text = r.status().ToString();
+    if (r.ok()) {
+      for (const ConjunctiveQuery& rw : r.value()) text += "\n" + rw.ToString();
+    }
+    view.rewritings.push_back(std::move(text));
+  }
+  view.answers = AnswerCase(c, net, cached_answers);
+  return view;
+}
+
+/// Reformulation and answers identical, stats too (cache flags aside).
+void CompareViews(OracleContext* ctx, const std::string& arm,
+                  const NetworkView& expected, const NetworkView& actual) {
+  for (size_t i = 0; i < expected.rewritings.size(); ++i) {
+    ctx->Check(expected.rewritings[i] == actual.rewritings[i], "build_order",
+               arm + " query " + std::to_string(i) + " rewritings differ");
+  }
+  CompareRuns(ctx, "build_order", expected.answers, actual.answers);
+}
+
+/// Network build orders for the build_order oracle. Mapping order is
+/// always the case's.
+enum class BuildOrder {
+  /// Every table, then every mapping.
+  kTablesFirst,
+  /// Every mapping, then every table, so productivity only arrives by
+  /// propagation from each new table.
+  kMappingsFirst,
+  /// Tables and mappings alternating, every odd table created through
+  /// mutable_storage()->CreateTable, with the plan cache warmed before
+  /// the first table and again halfway.
+  kInterleaved,
+};
+
+/// Builds `c` into `net` in `order`, all peers first, leaving table
+/// `withheld` out (none when out of range).
+Status BuildInOrder(const FuzzCase& c, BuildOrder order, PdmsNetwork* net,
+                    size_t withheld = SIZE_MAX) {
+  net->set_metrics_enabled(false);
+  for (const FuzzTable& t : c.tables) {
+    REVERE_RETURN_IF_ERROR(AddCasePeer(t, net));
+  }
+  auto add_table = [&](size_t i) {
+    if (i == withheld) return Status::Ok();
+    return AddCaseTable(c.tables[i], net,
+                        /*through_catalog=*/order == BuildOrder::kInterleaved &&
+                            i % 2 == 1);
+  };
+  auto add_tables = [&]() -> Status {
+    for (size_t i = 0; i < c.tables.size(); ++i) {
+      REVERE_RETURN_IF_ERROR(add_table(i));
+    }
+    return Status::Ok();
+  };
+  auto add_mappings = [&]() -> Status {
+    for (const FuzzMapping& m : c.mappings) {
+      REVERE_RETURN_IF_ERROR(AddCaseMapping(m, net));
+    }
+    return Status::Ok();
+  };
+  switch (order) {
+    case BuildOrder::kTablesFirst:
+      REVERE_RETURN_IF_ERROR(add_tables());
+      return add_mappings();
+    case BuildOrder::kMappingsFirst:
+      REVERE_RETURN_IF_ERROR(add_mappings());
+      return add_tables();
+    case BuildOrder::kInterleaved:
+      break;
+  }
+  (void)AnswerCase(c, *net, /*use_plan_cache=*/true);
+  size_t steps = std::max(c.tables.size(), c.mappings.size());
+  for (size_t i = 0; i < steps; ++i) {
+    if (i < c.tables.size()) REVERE_RETURN_IF_ERROR(add_table(i));
+    if (i < c.mappings.size()) {
+      REVERE_RETURN_IF_ERROR(AddCaseMapping(c.mappings[i], net));
+    }
+    if (i == steps / 2) (void)AnswerCase(c, *net, true);
+  }
+  return Status::Ok();
+}
+
+/// Incremental productivity (oracle 12): the network's state, and so
+/// every rewriting, counter and answer, must not depend on the order it
+/// was built in (see BuildOrder) — the reference is BuildNetwork. The
+/// interleaved build answers through the plan cache at the end, so its
+/// answers are only right if every step invalidated what it changed.
+/// Then one table is withheld: built tables first (productivity from
+/// each new mapping) and interleaved (from each new table, some
+/// through the catalog) must agree with each other and with the full
+/// network, warmed through the cache, after the same table is dropped
+/// through the catalog (productivity recomputed).
+void CheckBuildOrderOracle(OracleContext* ctx, const FuzzCase& c) {
+  PdmsNetwork reference_net, mappings_first, interleaved;
+  Status built = BuildNetwork(c, &reference_net);
+  Status built_mf =
+      BuildInOrder(c, BuildOrder::kMappingsFirst, &mappings_first);
+  Status built_il = BuildInOrder(c, BuildOrder::kInterleaved, &interleaved);
+  ctx->Check(built.ok() == built_mf.ok() && built.ok() == built_il.ok(),
+             "build_order",
+             "build orders disagree on success: " + built.ToString() + " / " +
+                 built_mf.ToString() + " / " + built_il.ToString());
+  if (!built.ok() || !built_mf.ok() || !built_il.ok() || c.tables.empty()) {
+    return;
+  }
+  NetworkView reference = ViewNetwork(c, reference_net, false);
+  CompareViews(ctx, "mappings_first", reference,
+               ViewNetwork(c, mappings_first, false));
+  CompareViews(ctx, "interleaved", reference,
+               ViewNetwork(c, interleaved, /*cached_answers=*/true));
+
+  const size_t withheld = c.seed % c.tables.size();
+  PdmsNetwork withheld_tf, withheld_il, dropped;
+  Status built_tf =
+      BuildInOrder(c, BuildOrder::kTablesFirst, &withheld_tf, withheld);
+  Status built_wil =
+      BuildInOrder(c, BuildOrder::kInterleaved, &withheld_il, withheld);
+  Status built_dropped = BuildNetwork(c, &dropped);
+  if (built_dropped.ok()) {
+    (void)AnswerCase(c, dropped, /*use_plan_cache=*/true);
+    const FuzzTable& t = c.tables[withheld];
+    built_dropped = dropped.mutable_storage()->DropTable(
+        QualifiedName(t.peer, t.relation));
+  }
+  ctx->Check(built_tf.ok() && built_wil.ok() && built_dropped.ok(),
+             "build_order",
+             "withheld-table builds failed: " + built_tf.ToString() + " / " +
+                 built_wil.ToString() + " / " + built_dropped.ToString());
+  if (!built_tf.ok() || !built_wil.ok() || !built_dropped.ok()) return;
+  NetworkView without = ViewNetwork(c, withheld_tf, false);
+  CompareViews(ctx, "withheld_interleaved", without,
+               ViewNetwork(c, withheld_il, /*cached_answers=*/true));
+  CompareViews(ctx, "dropped", without,
+               ViewNetwork(c, dropped, /*cached_answers=*/true));
+}
+
 }  // namespace
 
 CaseReport CheckCase(const FuzzCase& c) {
@@ -1072,6 +1276,11 @@ CaseReport CheckCase(const FuzzCase& c) {
   // 11. MVCC snapshots under a concurrent writer (ISSUE 10): answers
   //     under load == answers over the same pinned versions quiesced.
   CheckSnapshotOracle(&ctx, c);
+
+  // 12. Incremental productivity: build order (and a create-then-drop
+  //     vs never-created table) changes no rewriting, counter, answer,
+  //     or cached plan.
+  CheckBuildOrderOracle(&ctx, c);
 
   return report;
 }

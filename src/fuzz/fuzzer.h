@@ -25,7 +25,7 @@ namespace revere::fuzz {
 /// stored as data so it can be shrunk element-by-element and written to
 /// a replayable seed file. CheckCase() drives each case through every
 /// engine configuration the seed semantics has grown fast paths for and
-/// asserts the 11 oracles that make those paths exact (numbered as in
+/// asserts the 12 oracles that make those paths exact (numbered as in
 /// CheckCase):
 ///
 ///    1 slots_vs_map      slot-compiled evaluation == legacy map engine
@@ -67,6 +67,14 @@ namespace revere::fuzz {
 ///                        never observe a torn or shifting table, and
 ///                        under TSan the whole Snapshot/Publish protocol
 ///                        is race-checked
+///   12 build_order       incremental productivity: the network built
+///                        tables first, mappings first, or interleaved
+///                        with some tables created through
+///                        mutable_storage() gives byte-identical
+///                        rewritings, ReformulationStats (cache off) and
+///                        answers, and plans cached mid-build are never
+///                        served stale; a table withheld == the same
+///                        table built, cached against and then dropped
 ///
 /// plus cross-cutting stats invariants (peers_contacted bounds,
 /// completeness arithmetic, plan-cache hit/miss flags).

@@ -173,7 +173,20 @@ Status ContactPeerWithRetry(FaultInjector* faults, const std::string& peer,
   return last;
 }
 
+/// Adds the peer owning `relation` (if it is qualified) to `peers`.
+void NotePeerOf(const std::string& relation, std::set<std::string>* peers) {
+  auto [peer, rel] = SplitQualifiedName(relation);
+  if (!peer.empty()) peers->insert(peer);
+}
+
 }  // namespace
+
+PdmsNetwork::PdmsNetwork() {
+  storage_.set_observer(
+      [this](const std::string& name, storage::TableChange change) {
+        OnTableChange(name, change);
+      });
+}
 
 Result<Peer*> PdmsNetwork::AddPeer(const std::string& name) {
   if (peers_.count(name) > 0) {
@@ -217,12 +230,9 @@ Result<storage::Table*> PdmsNetwork::AddStoredRelation(
                                  schema.columns());
   REVERE_ASSIGN_OR_RETURN(storage::Table * table,
                           storage_.CreateTable(std::move(qualified)));
+  // The catalog observer (OnTableChange) has already propagated
+  // productivity and invalidated the plans touching `peer`.
   peer_it->second->NoteStoredRelation(unqualified);
-  std::map<std::string, bool> before = productive_;
-  RecomputeProductive();
-  std::set<std::string> touched = ProductivityDiffPeers(before);
-  touched.insert(peer);
-  InvalidatePlansTouching(touched);
   return table;
 }
 
@@ -236,32 +246,45 @@ Status PdmsNetwork::AddMapping(PeerMapping mapping) {
   }
   mappings_.push_back(std::move(mapping));
   const PeerMapping& added = mappings_.back();
-  // Route-mode expansion index: a forward application rewrites an atom
-  // matching any target-body relation; a backward application (equality
-  // mappings only) rewrites any source-body relation. One entry per
-  // distinct relation per direction, appended in mapping order so the
-  // indexed expansion enumerates candidates in exactly the order the
-  // legacy all-mappings scan does.
+  // Mapping index: a forward application rewrites an atom matching any
+  // target-body relation into the source body; a backward application
+  // (equality mappings only) the other way round. One `rewrites` entry
+  // per distinct relation per direction, appended in mapping order so
+  // the indexed expansion enumerates candidates in exactly the order
+  // the legacy all-mappings scan does; `feeds` holds the same uses
+  // keyed by their body relations.
+  //
+  // Plans to invalidate: the endpoints, the peer of every relation the
+  // mapping mentions (a body may name a third peer's relation, and a
+  // plan that read it can now expand further), and every peer whose
+  // relations become productive.
   size_t idx = mappings_.size() - 1;
-  std::set<std::string> fwd_rels;
-  for (const auto& a : added.glav.target.body()) {
-    if (fwd_rels.insert(a.relation).second) {
-      mapping_index_[a.relation].push_back(MappingUse{idx, true});
-    }
-  }
-  if (added.bidirectional) {
-    std::set<std::string> bwd_rels;
-    for (const auto& a : added.glav.source.body()) {
-      if (bwd_rels.insert(a.relation).second) {
-        mapping_index_[a.relation].push_back(MappingUse{idx, false});
+  std::set<std::string> touched = {added.source_peer, added.target_peer};
+  std::vector<std::string> worklist;
+  for (bool forward : {true, false}) {
+    if (!forward && !added.bidirectional) break;
+    MappingUse use{idx, forward};
+    const ConjunctiveQuery& rewritten =
+        forward ? added.glav.target : added.glav.source;
+    const ConjunctiveQuery& body =
+        forward ? added.glav.source : added.glav.target;
+    std::set<std::string> seen;
+    for (const auto& a : rewritten.body()) {
+      NotePeerOf(a.relation, &touched);
+      if (seen.insert(a.relation).second) {
+        mapping_index_[a.relation].rewrites.push_back(use);
       }
     }
+    seen.clear();
+    for (const auto& a : body.body()) {
+      NotePeerOf(a.relation, &touched);
+      if (seen.insert(a.relation).second) {
+        mapping_index_[a.relation].feeds.push_back(use);
+      }
+    }
+    FireUse(use, &worklist, &touched);
   }
-  std::map<std::string, bool> before = productive_;
-  RecomputeProductive();
-  std::set<std::string> touched = ProductivityDiffPeers(before);
-  touched.insert(added.source_peer);
-  touched.insert(added.target_peer);
+  PropagateProductive(std::move(worklist), &touched);
   InvalidatePlansTouching(touched);
   return Status::Ok();
 }
@@ -272,23 +295,6 @@ void PdmsNetwork::InvalidatePlansTouching(const std::set<std::string>& peers) {
     for (const auto& p : peers) ++peer_generations_[p];
   }
   InvalidatePlans();  // the mutation clock always moves
-}
-
-std::set<std::string> PdmsNetwork::ProductivityDiffPeers(
-    const std::map<std::string, bool>& before) const {
-  std::set<std::string> peers;
-  auto note = [&peers](const std::string& relation) {
-    auto [peer, rel] = SplitQualifiedName(relation);
-    if (!peer.empty()) peers.insert(peer);
-  };
-  for (const auto& [relation, productive] : productive_) {
-    auto it = before.find(relation);
-    if (it == before.end() || it->second != productive) note(relation);
-  }
-  for (const auto& [relation, productive] : before) {
-    if (productive_.find(relation) == productive_.end()) note(relation);
-  }
-  return peers;
 }
 
 uint64_t PdmsNetwork::peer_generation(const std::string& peer) const {
@@ -304,42 +310,59 @@ void PdmsNetwork::set_scoped_invalidation(bool enabled) {
   if (was != enabled) plan_cache_->Clear();
 }
 
-void PdmsNetwork::RecomputeProductive() {
-  productive_.clear();
-  for (const auto& name : storage_.TableNames()) productive_[name] = true;
-  // Fixpoint: a relation R is productive when some mapping can rewrite
-  // an R-atom into a source body whose relations are all productive.
-  bool changed = true;
-  auto body_productive = [this](const ConjunctiveQuery& q) {
-    for (const auto& a : q.body()) {
-      auto it = productive_.find(a.relation);
-      if (it == productive_.end() || !it->second) return false;
-    }
-    return true;
-  };
-  while (changed) {
-    changed = false;
-    for (const auto& m : mappings_) {
-      // Forward use: target atoms rewrite into the source body.
-      if (body_productive(m.glav.source)) {
-        for (const auto& a : m.glav.target.body()) {
-          if (!productive_[a.relation]) {
-            productive_[a.relation] = true;
-            changed = true;
-          }
-        }
-      }
-      // Backward use for equality mappings.
-      if (m.bidirectional && body_productive(m.glav.target)) {
-        for (const auto& a : m.glav.source.body()) {
-          if (!productive_[a.relation]) {
-            productive_[a.relation] = true;
-            changed = true;
-          }
-        }
-      }
+void PdmsNetwork::FireUse(const MappingUse& use,
+                          std::vector<std::string>* worklist,
+                          std::set<std::string>* peers) {
+  const PeerMapping& m = mappings_[use.index];
+  const ConjunctiveQuery& body = use.forward ? m.glav.source : m.glav.target;
+  for (const auto& a : body.body()) {
+    if (productive_.count(a.relation) == 0) return;
+  }
+  const ConjunctiveQuery& rewritten =
+      use.forward ? m.glav.target : m.glav.source;
+  for (const auto& a : rewritten.body()) {
+    if (!productive_.insert(a.relation).second) continue;
+    worklist->push_back(a.relation);
+    NotePeerOf(a.relation, peers);
+  }
+}
+
+void PdmsNetwork::PropagateProductive(std::vector<std::string> worklist,
+                                      std::set<std::string>* peers) {
+  while (!worklist.empty()) {
+    std::string relation = std::move(worklist.back());
+    worklist.pop_back();
+    auto it = mapping_index_.find(relation);
+    if (it == mapping_index_.end()) continue;
+    for (const MappingUse& use : it->second.feeds) {
+      FireUse(use, &worklist, peers);
     }
   }
+}
+
+void PdmsNetwork::RecomputeProductive(std::set<std::string>* peers) {
+  std::unordered_set<std::string> before = std::move(productive_);
+  productive_.clear();
+  std::vector<std::string> stored = storage_.TableNames();
+  productive_.insert(stored.begin(), stored.end());
+  // Every relation that flips here was productive before the drop.
+  std::set<std::string> regained;
+  PropagateProductive(std::move(stored), &regained);
+  for (const auto& relation : before) {
+    if (productive_.count(relation) == 0) NotePeerOf(relation, peers);
+  }
+}
+
+void PdmsNetwork::OnTableChange(const std::string& name,
+                                storage::TableChange change) {
+  std::set<std::string> touched;
+  NotePeerOf(name, &touched);
+  if (change == storage::TableChange::kDropped) {
+    RecomputeProductive(&touched);
+  } else if (productive_.insert(name).second) {
+    PropagateProductive({name}, &touched);
+  }
+  InvalidatePlansTouching(touched);
 }
 
 namespace {
@@ -673,9 +696,7 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   auto prune_unreachable_node = [&](const ConjunctiveQuery& q) {
     if (!options.prune_unreachable) return false;
     for (const auto& a : q.body()) {
-      if (IsStored(a.relation)) continue;  // live storage is productive
-      auto it = productive_.find(a.relation);
-      if (it == productive_.end() || !it->second) return true;
+      if (productive_.count(a.relation) == 0) return true;
     }
     return false;
   };
@@ -823,7 +844,7 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
            ++goal_idx) {
         auto idx_it = mapping_index_.find(item.query.body()[goal_idx].relation);
         if (idx_it == mapping_index_.end()) continue;
-        for (const MappingUse& use : idx_it->second) {
+        for (const MappingUse& use : idx_it->second.rewrites) {
           const PeerMapping& m = mappings_[use.index];
           const ConjunctiveQuery& map_source =
               use.forward ? m.glav.source : m.glav.target;

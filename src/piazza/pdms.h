@@ -9,6 +9,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/status.h"
@@ -155,7 +156,10 @@ struct ExecutionStats {
 /// while letting the reformulation engine speak one vocabulary.
 class PdmsNetwork {
  public:
-  PdmsNetwork() = default;
+  /// Installs the storage observer that keeps productivity and plan
+  /// invalidation current for tables created or dropped through
+  /// mutable_storage() as well as through AddStoredRelation.
+  PdmsNetwork();
   PdmsNetwork(const PdmsNetwork&) = delete;
   PdmsNetwork& operator=(const PdmsNetwork&) = delete;
 
@@ -168,7 +172,9 @@ class PdmsNetwork {
   std::vector<std::string> PeerNames() const;
 
   /// Creates a stored relation at `peer`; the schema's name must be the
-  /// unqualified relation name.
+  /// unqualified relation name. Equivalent, for reformulation and plan
+  /// invalidation, to creating the qualified table through
+  /// mutable_storage().
   Result<storage::Table*> AddStoredRelation(const std::string& peer,
                                             storage::TableSchema schema);
 
@@ -309,6 +315,10 @@ class PdmsNetwork {
   }
 
   const storage::Catalog& storage() const { return storage_; }
+  /// Direct catalog access. Creating or dropping a table here updates
+  /// productivity and invalidates plans exactly as AddStoredRelation
+  /// does (through the catalog observer), so it is safe for loaders and
+  /// exporters to add tables this way.
   storage::Catalog* mutable_storage() { return &storage_; }
 
   // ---- XML document side (§3.1: "Piazza assumes an XML data model") --
@@ -359,9 +369,45 @@ class PdmsNetwork {
   Result<PropagationStats> PropagateUpdategram(const Updategram& update);
 
  private:
-  /// Relations from which stored data is reachable via mapping chains
-  /// (fixpoint; recomputed when mappings change).
-  void RecomputeProductive();
+  /// One application direction of a registered mapping.
+  struct MappingUse {
+    size_t index = 0;   // into mappings_
+    bool forward = true;  // target→source application (else backward)
+  };
+
+  // ---- Productivity ---------------------------------------------------
+  //
+  // A relation is productive when stored data is reachable from it:
+  // it is stored, or some mapping use rewrites it into a body whose
+  // relations are all productive. `productive_` holds this least
+  // fixpoint. Adding tables or mappings only grows it, so those
+  // mutations push the new facts forward through the `feeds` index and
+  // cost O(what flips). Only a dropped table can shrink it; that case
+  // recomputes from the stored tables.
+
+  /// Fires `use` when its body is all productive: marks every relation
+  /// it rewrites into productive, appending the ones that flipped to
+  /// `worklist` and their peers to `peers`.
+  void FireUse(const MappingUse& use, std::vector<std::string>* worklist,
+               std::set<std::string>* peers);
+
+  /// Closes productivity over the mappings, starting from `worklist`
+  /// (relations that just became productive). Adds the peers of every
+  /// relation that flips on the way to `peers` — the ripple a plan
+  /// pruned by prune_unreachable must see: such a plan recorded the
+  /// peers of the node it pruned, so bumping these keeps scoped
+  /// invalidation sound for dead-path-pruned plans.
+  void PropagateProductive(std::vector<std::string> worklist,
+                           std::set<std::string>* peers);
+
+  /// Rebuilds productivity from the stored tables after a drop, adding
+  /// the peers of every relation that lost it to `peers`.
+  void RecomputeProductive(std::set<std::string>* peers);
+
+  /// The catalog observer: a create seeds propagation with the new
+  /// table, a drop recomputes; either way the owning peer and every
+  /// peer whose relations flipped get their plans invalidated.
+  void OnTableChange(const std::string& name, storage::TableChange change);
 
   /// Marks a change to mappings/topology/views: bumps the mutation
   /// clock so every previously cached plan reads as stale (legacy mode)
@@ -373,19 +419,10 @@ class PdmsNetwork {
   /// Scoped invalidation: bumps the mutation clock AND the per-peer
   /// stamp of every peer in `peers`, so only plans whose search touched
   /// one of them fail scope validation. Callers pass the peers a
-  /// mutation structurally affects (endpoints of a new mapping, the
-  /// peer gaining storage, plus every peer whose relations changed
-  /// productivity — see ProductivityDiffPeers).
+  /// mutation structurally affects (a new mapping's endpoints and the
+  /// peers of the relations it names, the peer gaining or losing
+  /// storage, plus every peer whose relations changed productivity).
   void InvalidatePlansTouching(const std::set<std::string>& peers);
-
-  /// Peers owning a relation whose `productive_` status differs from
-  /// `before` — the ripple a storage/mapping change sends through the
-  /// reachability fixpoint. A plan pruned by prune_unreachable at a
-  /// node mentioning such a relation records that node's peers in its
-  /// touched set, so bumping these peers keeps scoped invalidation
-  /// sound for dead-path-pruned plans too.
-  std::set<std::string> ProductivityDiffPeers(
-      const std::map<std::string, bool>& before) const;
 
   /// Reformulate through the plan cache. The returned plan is shared
   /// with the cache (never mutated); `stats` reports the computing
@@ -411,21 +448,28 @@ class PdmsNetwork {
 
   std::map<std::string, std::unique_ptr<Peer>> peers_;
   std::vector<PeerMapping> mappings_;
-  /// Route-mode expansion index: qualified relation name → the mappings
-  /// (and application direction) that can rewrite an atom of that
-  /// relation. Rebuilt alongside `mappings_`; lets the best-first
-  /// search touch only the mappings incident to a node's atoms instead
-  /// of scanning all of them — the O(edges-at-node) vs O(all-mappings)
-  /// difference that makes 1k-peer reformulation interactive.
-  struct MappingUse {
-    size_t index = 0;   // into mappings_
-    bool forward = true;  // target→source application (else backward)
+  /// Qualified relation name → the mapping uses incident to it, kept
+  /// alongside `mappings_` and appended in mapping order.
+  struct RelationUses {
+    /// Uses that can rewrite an atom of the relation: a forward use of
+    /// each mapping whose target body mentions it, a backward use of
+    /// each bidirectional mapping whose source body does. Lets the
+    /// route-mode search touch only the mappings incident to a node's
+    /// atoms instead of scanning all of them — the O(edges-at-node) vs
+    /// O(all-mappings) difference that makes 1k-peer reformulation
+    /// interactive.
+    std::vector<MappingUse> rewrites;
+    /// Uses whose body (the side they rewrite into) mentions the
+    /// relation: the uses its becoming productive can fire.
+    std::vector<MappingUse> feeds;
   };
-  std::map<std::string, std::vector<MappingUse>> mapping_index_;
+  std::map<std::string, RelationUses> mapping_index_;
   std::vector<XmlEdge> xml_edges_;
   std::vector<RegisteredView> views_;
   storage::Catalog storage_;
-  std::map<std::string, bool> productive_;
+  /// Productive relations (see "Productivity" above); a superset of
+  /// the stored ones.
+  std::unordered_set<std::string> productive_;
   /// Plan-cache mutation clock (see plan_generation()).
   std::atomic<uint64_t> generation_{0};
   /// Per-peer invalidation stamps for scoped invalidation; a peer

@@ -10,6 +10,7 @@ Result<Table*> Catalog::CreateTable(TableSchema schema) {
   auto table = std::make_unique<Table>(std::move(schema));
   Table* ptr = table.get();
   tables_[name] = std::move(table);
+  if (observer_) observer_(name, TableChange::kCreated);
   return ptr;
 }
 
@@ -37,6 +38,7 @@ Status Catalog::DropTable(const std::string& name) {
   if (tables_.erase(name) == 0) {
     return Status::NotFound("no table '" + name + "'");
   }
+  if (observer_) observer_(name, TableChange::kDropped);
   return Status::Ok();
 }
 

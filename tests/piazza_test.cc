@@ -392,6 +392,172 @@ TEST_F(PdmsTest, RegisterViewValidatesPeerAndDefinition) {
   EXPECT_FALSE(net_.GetView(99).ok());
 }
 
+// ------------------------------------------- incremental productivity
+
+/// A network whose peers are named in `peers`; relations are added by
+/// each test so the order of tables and mappings is under its control.
+class ProductivityTest : public ::testing::Test {
+ protected:
+  void AddPeers(const std::vector<std::string>& peers) {
+    for (const auto& p : peers) ASSERT_TRUE(net_.AddPeer(p).ok());
+  }
+
+  /// Stores the unary relation `qualified` with one row `value`.
+  void Store(const std::string& qualified, const std::string& value) {
+    auto [peer, rel] = SplitQualifiedName(qualified);
+    auto table =
+        net_.AddStoredRelation(peer, TableSchema::AllStrings(rel, {"x"}));
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE((*table)->Insert({Value(value)}).ok());
+  }
+
+  /// m(X) :- <source>(X) => m(X) :- <target>(X): a `target` atom can be
+  /// answered from `source` (and, when bidirectional, the reverse).
+  void Map(const std::string& source, const std::string& target,
+           bool bidirectional = false) {
+    ASSERT_TRUE(net_.AddMapping(PeerMapping{
+                                    {source + "->" + target,
+                                     MustParse("m(X) :- " + source + "(X)"),
+                                     MustParse("m(X) :- " + target + "(X)")},
+                                    SplitQualifiedName(source).first,
+                                    SplitQualifiedName(target).first,
+                                    bidirectional})
+                    .ok());
+  }
+
+  /// Answers q(X) :- <relation>(X) through the plan cache.
+  std::vector<Row> AnswerOver(const std::string& relation,
+                              ExecutionStats* stats = nullptr) {
+    auto rows =
+        net_.Answer(MustParse("q(X) :- " + relation + "(X)"), {}, stats);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? rows.value() : std::vector<Row>{};
+  }
+
+  PdmsNetwork net_;
+};
+
+TEST_F(ProductivityTest, ChainOfVirtualRelationsBeforeStorage) {
+  // a:r -> b:v -> c:w, with both mappings in place before a:r exists.
+  AddPeers({"a", "b", "c"});
+  Map("a:r", "b:v");
+  Map("b:v", "c:w");
+  ExecutionStats stats;
+  EXPECT_TRUE(AnswerOver("c:w", &stats).empty());
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 1u);
+
+  Store("a:r", "from-a");
+  std::vector<Row> rows = AnswerOver("c:w", &stats);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].as_string(), "from-a");
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 0u);
+  EXPECT_EQ(stats.plan_cache_hits, 0u);  // the storage change re-planned
+  EXPECT_EQ(AnswerOver("b:v").size(), 1u);
+}
+
+TEST_F(ProductivityTest, BackwardPropagationThroughBidirectionalMapping) {
+  // b:v reaches a:r only by applying the b:v => a:r mapping backward.
+  AddPeers({"a", "b", "c"});
+  Map("b:v", "a:r", /*bidirectional=*/true);
+  Map("b:v", "c:w");
+  Store("a:r", "from-a");
+  EXPECT_EQ(AnswerOver("b:v").size(), 1u);
+  EXPECT_EQ(AnswerOver("c:w").size(), 1u);
+
+  // The same overlay with a one-way mapping stays unproductive.
+  PdmsNetwork one_way;
+  for (const std::string p : {"a", "b"}) ASSERT_TRUE(one_way.AddPeer(p).ok());
+  ASSERT_TRUE(one_way
+                  .AddMapping(PeerMapping{{"b->a",
+                                           MustParse("m(X) :- b:v(X)"),
+                                           MustParse("m(X) :- a:r(X)")},
+                                          "b",
+                                          "a",
+                                          false})
+                  .ok());
+  ASSERT_TRUE(one_way
+                  .AddStoredRelation("a", TableSchema::AllStrings("r", {"x"}))
+                  .ok());
+  ReformulationStats reform;
+  auto r = one_way.Reformulate(MustParse("q(X) :- b:v(X)"), {}, &reform);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().empty());
+  EXPECT_EQ(reform.pruned_unreachable, 1u);
+}
+
+TEST_F(ProductivityTest, SourceBodyBecomesProductiveLater) {
+  // c:w is answered by the join a:r ⋈ b:s. a:r is stored from the
+  // start; b:s only becomes productive when a mapping from d:t lands.
+  AddPeers({"a", "b", "c", "d"});
+  Store("a:r", "k");
+  Store("d:t", "k");
+  ASSERT_TRUE(net_.AddMapping(PeerMapping{
+                                  {"join",
+                                   MustParse("m(X) :- a:r(X), b:s(X)"),
+                                   MustParse("m(X) :- c:w(X)")},
+                                  "a",
+                                  "c",
+                                  false})
+                  .ok());
+  ExecutionStats stats;
+  EXPECT_TRUE(AnswerOver("c:w", &stats).empty());
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 1u);
+
+  Map("d:t", "b:s");
+  std::vector<Row> rows = AnswerOver("c:w", &stats);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].as_string(), "k");
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 0u);
+  EXPECT_EQ(stats.plan_cache_hits, 0u);
+}
+
+TEST_F(ProductivityTest, DropTableMakesVirtualRelationUnproductive) {
+  AddPeers({"a", "b"});
+  Store("a:r", "from-a");
+  Map("a:r", "b:v");
+  ExecutionStats stats;
+  EXPECT_EQ(AnswerOver("b:v", &stats).size(), 1u);
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 0u);
+  EXPECT_EQ(AnswerOver("b:v", &stats).size(), 1u);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);  // warm
+
+  ASSERT_TRUE(net_.mutable_storage()->DropTable("a:r").ok());
+  EXPECT_TRUE(AnswerOver("b:v", &stats).empty());
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 1u);
+  EXPECT_EQ(stats.plan_cache_hits, 0u);
+
+  // Re-creating the table restores productivity.
+  Store("a:r", "again");
+  std::vector<Row> rows = AnswerOver("b:v", &stats);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].as_string(), "again");
+}
+
+TEST_F(ProductivityTest, DropInvalidatesPlansThatNeverReachedTheTable) {
+  // With depth 1 the c:w plan stops at b:v and never reads peer a, so
+  // only the productivity ripple (c:w and b:v lose it) can invalidate
+  // it when a:r is dropped.
+  AddPeers({"a", "b", "c"});
+  Store("a:r", "from-a");
+  Map("a:r", "b:v");
+  Map("b:v", "c:w");
+  ReformulationOptions shallow;
+  shallow.max_depth = 1;
+  ConjunctiveQuery q = MustParse("q(X) :- c:w(X)");
+  ExecutionStats stats;
+  ASSERT_TRUE(net_.Answer(q, shallow, &stats).ok());
+  ASSERT_TRUE(net_.Answer(q, shallow, &stats).ok());
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  EXPECT_EQ(stats.reformulation.pruned_depth, 1u);
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 0u);
+
+  ASSERT_TRUE(net_.mutable_storage()->DropTable("a:r").ok());
+  ASSERT_TRUE(net_.Answer(q, shallow, &stats).ok());
+  EXPECT_EQ(stats.plan_cache_hits, 0u);
+  EXPECT_EQ(stats.reformulation.pruned_depth, 0u);
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 1u);
+}
+
 // ---------------------------------------------------------------- views
 
 class ViewsTest : public ::testing::Test {

@@ -250,6 +250,81 @@ TEST(NetworkPlanCacheTest, MappingChangeInvalidatesCachedPlans) {
   EXPECT_EQ(after.value().size(), 2u);   // now sees a's row too
 }
 
+// Tables created through mutable_storage() count exactly like
+// AddStoredRelation: they make mapped relations productive and
+// invalidate the plans that read their peer.
+TEST(NetworkPlanCacheTest, CatalogCreatedTableFeedsMappedRelation) {
+  PdmsNetwork net;
+  ASSERT_TRUE(net.AddPeer("a").ok());
+  ASSERT_TRUE(net.AddPeer("b").ok());
+  auto glav =
+      query::GlavMapping::Parse("m(X) :- a:r(X) => m(X) :- b:v(X)", "a2b");
+  ASSERT_TRUE(glav.ok());
+  ASSERT_TRUE(net.AddMapping(PeerMapping{glav.value(), "a", "b", false}).ok());
+  auto table = net.mutable_storage()->CreateTable(
+      storage::TableSchema::AllStrings("a:r", {"x"}));
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(table.value()->Insert({storage::Value("from-a")}).ok());
+
+  auto q = ConjunctiveQuery::Parse("q(X) :- b:v(X)");
+  ASSERT_TRUE(q.ok());
+  ExecutionStats stats;
+  auto rows = net.Answer(q.value(), {}, &stats);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value().size(), 1u);
+  EXPECT_EQ(stats.reformulation.pruned_unreachable, 0u);
+}
+
+TEST(NetworkPlanCacheTest, CatalogCreatedTableInvalidatesCachedPlan) {
+  PdmsNetwork net;
+  ASSERT_TRUE(net.AddPeer("a").ok());
+  auto q = ConjunctiveQuery::Parse("q(X) :- a:r(X)");
+  ASSERT_TRUE(q.ok());
+  auto before = net.Answer(q.value());  // a:r absent: cached empty plan
+  ASSERT_TRUE(before.ok());
+  EXPECT_TRUE(before.value().empty());
+
+  auto table = net.mutable_storage()->CreateTable(
+      storage::TableSchema::AllStrings("a:r", {"x"}));
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(table.value()->Insert({storage::Value("from-a")}).ok());
+
+  ExecutionStats stats;
+  auto after = net.Answer(q.value(), {}, &stats);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(stats.plan_cache_hits, 0u);
+  EXPECT_EQ(after.value().size(), 1u);
+}
+
+// A mapping registered between peers a and b may name peer c's
+// relation in a body; plans that read c:w must see the new mapping.
+TEST(NetworkPlanCacheTest, MappingNamingThirdPeerInvalidatesItsPlans) {
+  PdmsNetwork net;
+  for (const char* p : {"a", "b", "c"}) ASSERT_TRUE(net.AddPeer(p).ok());
+  for (const auto& [peer, value] :
+       {std::pair<std::string, std::string>{"a", "from-a"}, {"c", "from-c"}}) {
+    auto table = net.AddStoredRelation(
+        peer, storage::TableSchema::AllStrings(peer == "a" ? "r" : "w", {"x"}));
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(table.value()->Insert({storage::Value(value)}).ok());
+  }
+  auto q = ConjunctiveQuery::Parse("q(X) :- c:w(X)");
+  ASSERT_TRUE(q.ok());
+  auto before = net.Answer(q.value());
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before.value().size(), 1u);
+
+  auto glav =
+      query::GlavMapping::Parse("m(X) :- a:r(X) => m(X) :- c:w(X)", "a2c");
+  ASSERT_TRUE(glav.ok());
+  ASSERT_TRUE(net.AddMapping(PeerMapping{glav.value(), "a", "b", false}).ok());
+  ExecutionStats stats;
+  auto after = net.Answer(q.value(), {}, &stats);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(stats.plan_cache_hits, 0u);
+  EXPECT_EQ(after.value().size(), 2u);
+}
+
 TEST(NetworkPlanCacheTest, SetCapacityAndClearResetEntries) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net, 5);
