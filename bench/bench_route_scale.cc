@@ -6,20 +6,18 @@
 // (Watts-Strogatz small-world, Barabasi-Albert scale-free):
 //
 //  - PrunedVsExhaustive: the C3 all-courses query per (topology, peers,
-//    budget) cell. Budget 0 is the pre-route exhaustive BFS; nonzero
-//    budgets run the cost-bounded best-first route search (mapping
-//    index + hop budget + redundant-path elimination). Counters report
-//    recall against the generator's ground truth, so the wall-clock
-//    ratio between a pruned cell and its exhaustive row IS the
-//    acceptance measurement (>= 5x at >= 95% recall on the 1000-peer
-//    small-world cell).
+//    budget) cell, plan cache off so every iteration runs the search.
+//    Budget 0 is the exhaustive search (the route search with an
+//    unlimited budget); nonzero budgets add a hop budget and
+//    redundant-path elimination. Counters report recall against the
+//    generator's ground truth, so a pruned cell against its exhaustive
+//    row shows what the budget saves and what recall it costs.
 //  - ChurnWarmCache: peers join (AddPeer + AddMapping) and leave
 //    (FaultInjector SetDown/Restore) mid-workload while a fixed query
-//    working set replays through the plan cache. mode 0 runs scoped
-//    per-peer invalidation, mode 1 forces the legacy global generation
-//    bump. The hit_rate counter is the acceptance number: scoped stays
-//    warm (> 0.5) because a join only touches plans whose bounded peer
-//    path crosses the attach point; global decays toward 0.
+//    working set replays through the plan cache under per-peer scoped
+//    invalidation. The hit_rate counter is the acceptance number: it
+//    stays warm (> 0.5) because a join only touches plans whose bounded
+//    peer path crosses the attach point.
 //    mutation_us is the mean wall time of one join's AddPeer +
 //    AddStoredRelation + AddMapping, and build_ms the time to build the
 //    overlay with BuildUniversityPdms: both are the cost of keeping
@@ -69,11 +67,10 @@ Topology TopologyOf(int t) {
   return t == 0 ? Topology::kSmallWorld : Topology::kScaleFree;
 }
 
-/// The route-search options used for every "pruned" arm: hop-budgeted
-/// (uniform costs: budget == reachable hops), cycle-eliminated.
+/// The options used for every "pruned" arm: hop-budgeted (uniform
+/// costs: budget == reachable hops), cycle-eliminated.
 ReformulationOptions PrunedOptions(double budget) {
   ReformulationOptions opts;
-  opts.use_route_search = true;
   opts.max_path_cost = budget;
   opts.prune_redundant_paths = true;
   opts.max_depth = 64;  // the budget is the binding limit
@@ -81,8 +78,8 @@ ReformulationOptions PrunedOptions(double budget) {
   return opts;
 }
 
-/// The exhaustive arm: the pre-route BFS, depth-limited only by the
-/// network's reach.
+/// The exhaustive arm: no budget, depth-limited only by the network's
+/// reach.
 ReformulationOptions ExhaustiveOptions() {
   ReformulationOptions opts;
   opts.max_depth = 64;
@@ -90,7 +87,7 @@ ReformulationOptions ExhaustiveOptions() {
   return opts;
 }
 
-// arg0: topology, arg1: peers, arg2: hop budget (0 = exhaustive BFS).
+// arg0: topology, arg1: peers, arg2: hop budget (0 = exhaustive).
 void BM_RouteScale_PrunedVsExhaustive(benchmark::State& state) {
   PdmsNetwork net;
   net.set_metrics_enabled(false);
@@ -114,6 +111,7 @@ void BM_RouteScale_PrunedVsExhaustive(benchmark::State& state) {
   ReformulationOptions opts =
       pruned ? PrunedOptions(static_cast<double>(budget))
              : ExhaustiveOptions();
+  opts.use_plan_cache = false;  // time the search, not a cached plan
 
   ReformulationStats stats;
   for (auto _ : state) {
@@ -175,15 +173,12 @@ bool JoinPeer(PdmsNetwork* net, const PdmsGenReport& report, size_t serial,
       .ok();
 }
 
-// arg0: mode (0 scoped invalidation, 1 legacy global generation).
 void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
-  bool global_mode = state.range(0) != 0;
   size_t peers = SmokeRun() ? 24 : 300;
   size_t working_set = SmokeRun() ? 8 : 40;
 
   PdmsNetwork net;
   net.set_metrics_enabled(false);
-  net.set_scoped_invalidation(!global_mode);
   PdmsGenOptions options;
   options.topology = Topology::kSmallWorld;
   options.peers = peers;
@@ -245,7 +240,7 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
       ++answers;
     }
   }
-  state.SetLabel(global_mode ? "global" : "scoped");
+  state.SetLabel("scoped");
   state.counters["peers"] = static_cast<double>(peers);
   state.counters["hit_rate"] =
       answers > 0 ? static_cast<double>(hits) / answers : 0.0;
@@ -253,9 +248,6 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
   state.counters["mutation_us"] = serial > 0 ? mutation_us / serial : 0.0;
   state.counters["build_ms"] = build_ms;
 }
-BENCHMARK(BM_RouteScale_ChurnWarmCache)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteScale_ChurnWarmCache)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "src/common/thread_pool.h"
 #include "src/datagen/topology.h"
 #include "src/datagen/university.h"
+#include "src/fuzz/reference/reference_search.h"
 #include "src/obs/trace.h"
 #include "src/piazza/peer.h"
 #include "src/query/evaluate.h"
@@ -41,6 +42,7 @@ using piazza::PeerFault;
 using piazza::PeerMapping;
 using piazza::QualifiedName;
 using piazza::ReformulationOptions;
+using piazza::ReformulationStats;
 using query::Atom;
 using query::ConjunctiveQuery;
 using query::QTerm;
@@ -163,12 +165,19 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
   for (int k = 0; k < 10; ++k) id_pool.push_back("c" + std::to_string(k));
 
   const auto& relation_pool = datagen::RelationNamePool();
+  // Virtual relations (about a quarter) are declared and mapped but
+  // never stored, so only mappings can answer them and productivity
+  // decides which rewritings survive prune_unreachable. One table,
+  // chosen at random, is always stored.
+  constexpr double kVirtualRelationProb = 0.25;
+  const size_t always_stored = rng.Index(n);
   for (size_t i = 0; i < n; ++i) {
     FuzzTable t;
     t.peer = "p" + std::to_string(i);
     t.relation = relation_pool[i % relation_pool.size()];
     t.arity = 2 + rng.Index(3);
-    size_t rows = rng.Index(opt.max_rows_per_peer + 1);
+    t.stored = i == always_stored || !rng.Bernoulli(kVirtualRelationProb);
+    size_t rows = t.stored ? rng.Index(opt.max_rows_per_peer + 1) : 0;
     Rng data_rng = rng.Fork();
     std::vector<datagen::CourseRecord> courses =
         datagen::GenerateCourses(rows, &data_rng);
@@ -186,7 +195,7 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
         t.rows.push_back(t.rows[rng.Index(t.rows.size())]);
       }
     }
-    for (size_t col = 0; col < t.arity; ++col) {
+    for (size_t col = 0; col < t.arity && t.stored; ++col) {
       if (rng.Bernoulli(opt.index_prob)) t.indexed_columns.push_back(col);
     }
     c.tables.push_back(std::move(t));
@@ -256,14 +265,14 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
   c.reform.prune_unreachable = rng.Bernoulli(0.85);
   c.reform.prune_contained = rng.Bernoulli(0.15);
   if (rng.Bernoulli(opt.route_case_prob)) {
-    // Route-mode search (ISSUE 9): unlimited budget half the time (the
-    // byte-identical regime the whole oracle battery then runs in), a
-    // biting hop budget otherwise. Costs stay uniform (no feedback), so
-    // every configuration prunes identically.
-    c.reform.use_route_search = true;
+    // A pruning case, run through every oracle: a biting hop budget half
+    // the time, redundant-path elimination otherwise (and half the time
+    // with a budget too). Costs stay uniform (no feedback), so every
+    // configuration prunes identically.
     c.reform.max_path_cost =
         rng.Bernoulli(0.5) ? 0.0 : 1.0 + static_cast<double>(rng.Index(3));
-    c.reform.prune_redundant_paths = rng.Bernoulli(0.5);
+    c.reform.prune_redundant_paths =
+        c.reform.max_path_cost == 0.0 || rng.Bernoulli(0.5);
   }
   c.retry.max_attempts = 1 + static_cast<int>(rng.Index(3));
   c.retry.base_backoff_ms = 0.5;
@@ -285,11 +294,13 @@ Status AddCasePeer(const FuzzTable& t, PdmsNetwork* net) {
   return Status::Ok();
 }
 
-/// Creates `t` at its (existing) peer, fills it and builds its indexes.
-/// `through_catalog` creates the qualified table directly in the
-/// network's catalog instead of through AddStoredRelation.
+/// Creates `t` at its (existing) peer, fills it and builds its indexes;
+/// a virtual relation stays declared only. `through_catalog` creates
+/// the qualified table directly in the network's catalog instead of
+/// through AddStoredRelation.
 Status AddCaseTable(const FuzzTable& t, PdmsNetwork* net,
                     bool through_catalog = false) {
+  if (!t.stored) return Status::Ok();
   std::vector<std::string> columns;
   columns.reserve(t.arity);
   for (size_t i = 0; i < t.arity; ++i) {
@@ -354,7 +365,6 @@ struct EngineConfig {
   obs::Tracer* tracer = nullptr;
   // Route-search overrides for the pruned_vs_exhaustive oracle; -1
   // leaves the case's own reform knobs in charge.
-  int route_mode = -1;             // 0 = force legacy BFS, 1 = force route
   double route_budget = -1.0;      // >= 0 overrides reform.max_path_cost
   int route_prune_redundant = -1;  // 0/1 overrides prune_redundant_paths
 };
@@ -412,7 +422,6 @@ EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
 
   ReformulationOptions reform = c.reform;
   reform.use_plan_cache = cfg.use_plan_cache;
-  if (cfg.route_mode >= 0) reform.use_route_search = cfg.route_mode == 1;
   if (cfg.route_budget >= 0.0) reform.max_path_cost = cfg.route_budget;
   if (cfg.route_prune_redundant >= 0) {
     reform.prune_redundant_paths = cfg.route_prune_redundant == 1;
@@ -475,19 +484,22 @@ std::string DescribeRows(const std::vector<Row>& rows, size_t limit = 3) {
   return out;
 }
 
-/// Everything in ExecutionStats except the plan-cache hit/miss flags,
-/// field by field (the flags legitimately differ between cache-on and
-/// cache-off configurations; everything else never may).
-bool StatsEqualExceptCacheFlags(const ExecutionStats& a,
-                                const ExecutionStats& b, std::string* diff) {
-  auto check = [&](const char* name, auto va, auto vb) {
-    if (va == vb) return true;
-    *diff = std::string(name) + ": " + std::to_string(va) + " vs " +
-            std::to_string(vb);
-    return false;
+/// Sets `diff` and returns false when `va != vb`.
+template <typename T>
+bool FieldEqual(const char* name, T va, T vb, std::string* diff) {
+  if (va == vb) return true;
+  *diff = std::string(name) + ": " + std::to_string(va) + " vs " +
+          std::to_string(vb);
+  return false;
+}
+
+/// The search counters of ReformulationStats, field by field (the
+/// plan-cache flags excluded).
+bool SearchStatsEqual(const ReformulationStats& ra,
+                      const ReformulationStats& rb, std::string* diff) {
+  auto check = [&](const char* name, size_t va, size_t vb) {
+    return FieldEqual(name, va, vb, diff);
   };
-  const auto& ra = a.reformulation;
-  const auto& rb = b.reformulation;
   return check("nodes_expanded", ra.nodes_expanded, rb.nodes_expanded) &&
          check("pruned_duplicates", ra.pruned_duplicates,
                rb.pruned_duplicates) &&
@@ -498,7 +510,18 @@ bool StatsEqualExceptCacheFlags(const ExecutionStats& a,
          check("pruned_cost", ra.pruned_cost, rb.pruned_cost) &&
          check("pruned_redundant", ra.pruned_redundant,
                rb.pruned_redundant) &&
-         check("rewritings", ra.rewritings, rb.rewritings) &&
+         check("rewritings", ra.rewritings, rb.rewritings);
+}
+
+/// Everything in ExecutionStats except the plan-cache hit/miss flags,
+/// field by field (the flags legitimately differ between cache-on and
+/// cache-off configurations; everything else never may).
+bool StatsEqualExceptCacheFlags(const ExecutionStats& a,
+                                const ExecutionStats& b, std::string* diff) {
+  auto check = [&](const char* name, auto va, auto vb) {
+    return FieldEqual(name, va, vb, diff);
+  };
+  return SearchStatsEqual(a.reformulation, b.reformulation, diff) &&
          check("rewritings_evaluated", a.rewritings_evaluated,
                b.rewritings_evaluated) &&
          check("peers_contacted", a.peers_contacted, b.peers_contacted) &&
@@ -569,8 +592,8 @@ void CompareRuns(OracleContext* ctx, const std::string& oracle,
     }
     if (compare_stats) {
       std::string diff;
-      ctx->Check(StatsEqualExceptCacheFlags(e.stats, a.stats, &diff), oracle,
-                 where + " stats differ: " + diff);
+      bool equal = StatsEqualExceptCacheFlags(e.stats, a.stats, &diff);
+      ctx->Check(equal, oracle, where + " stats differ: " + diff);
       if (compare_cache_flags) {
         ctx->Check(e.stats.plan_cache_hits == a.stats.plan_cache_hits &&
                        e.stats.plan_cache_misses == a.stats.plan_cache_misses,
@@ -775,48 +798,97 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 }
 
-/// Route-mode best-first search vs the exhaustive legacy BFS (ISSUE 9).
-/// With no contact feedback every hop costs the same, so the best-first
-/// queue pops in BFS order and an unlimited budget must reproduce the
-/// legacy path byte for byte — rows, statuses, stats, and zero pruning
-/// counters. A bounded budget may only *remove* answers, never invent
-/// them, and must replay bit-identically under faults.
+/// The route search vs the reference exhaustive BFS (oracle 10). With
+/// no contact feedback every hop costs the same, so with the case's
+/// options at an unlimited budget and no redundant-path elimination the
+/// route search must emit the reference's rewritings in the reference's
+/// order (compared α-canonically: the searches name fresh variables
+/// differently), with equal search counters and zero pruning, and
+/// Answer must return the rows and statuses the reference answer
+/// derives from those rewritings, fault-free and under a fresh injector
+/// from the case seed. The reference recomputes productivity from
+/// scratch, so this also checks the network's incremental productivity.
+/// A bounded budget may only *remove* answers relative to the unlimited
+/// run, never invent them, and must replay bit-identically under
+/// faults.
 void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
-  EngineConfig exhaustive_cfg;  // slots + on-demand indexes
-  exhaustive_cfg.route_mode = 0;
-  EngineRun exhaustive = Run(c, exhaustive_cfg);
-
-  EngineConfig unlimited_cfg = exhaustive_cfg;
-  unlimited_cfg.route_mode = 1;
+  EngineConfig unlimited_cfg;  // slots + on-demand indexes
   unlimited_cfg.route_budget = 0.0;
   unlimited_cfg.route_prune_redundant = 0;
   EngineRun unlimited = Run(c, unlimited_cfg);
-  CompareRuns(ctx, "pruned_vs_exhaustive", exhaustive.outcomes,
-              unlimited.outcomes);
-  for (size_t i = 0; i < unlimited.outcomes.size(); ++i) {
-    const auto& r = unlimited.outcomes[i].stats.reformulation;
-    ctx->Check(r.pruned_cost == 0 && r.pruned_redundant == 0,
-               "pruned_vs_exhaustive",
-               "query " + std::to_string(i) +
-                   " pruned with an unlimited budget (cost=" +
-                   std::to_string(r.pruned_cost) + " redundant=" +
-                   std::to_string(r.pruned_redundant) + ")");
-  }
-
-  // Faulted arm: identical rewritings in identical order mean identical
-  // injector draws, so the degraded runs must match byte for byte too.
-  EngineConfig exhaustive_fault_cfg = exhaustive_cfg;
-  exhaustive_fault_cfg.with_faults = true;
   EngineConfig unlimited_fault_cfg = unlimited_cfg;
   unlimited_fault_cfg.with_faults = true;
-  CompareRuns(ctx, "pruned_vs_exhaustive",
-              Run(c, exhaustive_fault_cfg).outcomes,
-              Run(c, unlimited_fault_cfg).outcomes,
-              /*compare_stats=*/true, /*compare_cache_flags=*/true);
+  EngineRun unlimited_faulted = Run(c, unlimited_fault_cfg);
+
+  PdmsNetwork net;
+  if (BuildNetwork(c, &net).ok()) {
+    ReformulationOptions reform = c.reform;
+    reform.use_plan_cache = false;
+    reform.max_path_cost = 0.0;
+    reform.prune_redundant_paths = false;
+    FaultInjector injector(c.seed);
+    ApplyFaults(c, &injector);
+    NetworkCostModel fault_free;
+    fault_free.failure_policy = c.policy;
+    fault_free.retry = c.retry;
+    NetworkCostModel faulted = fault_free;
+    faulted.faults = &injector;
+    auto compare_answer = [&](const std::string& where,
+                              const QueryOutcome& got,
+                              const Result<std::vector<Row>>& want) {
+      ctx->Check(got.status.code() == want.status().code() &&
+                     got.status.message() == want.status().message(),
+                 "pruned_vs_exhaustive",
+                 where + " status: " + got.status.ToString() + " vs " +
+                     want.status().ToString());
+      if (got.status.ok() && want.ok()) {
+        ctx->Check(got.rows == want.value(), "pruned_vs_exhaustive",
+                   where + " rows differ: got " + DescribeRows(got.rows) +
+                       " want " + DescribeRows(want.value()));
+      }
+    };
+    for (size_t i = 0; i < c.queries.size(); ++i) {
+      const ConjunctiveQuery& q = c.queries[i];
+      std::string where = "query " + std::to_string(i);
+      ReformulationStats route_stats, reference_stats;
+      Result<std::vector<ConjunctiveQuery>> route =
+          net.Reformulate(q, reform, &route_stats);
+      std::vector<ConjunctiveQuery> reference =
+          ReferenceReformulate(net, q, reform, &reference_stats);
+      ctx->Check(route.ok(), "pruned_vs_exhaustive",
+                 where + " reformulation failed: " +
+                     route.status().ToString());
+      if (route.ok()) {
+        const std::vector<ConjunctiveQuery>& got = route.value();
+        bool same = got.size() == reference.size();
+        for (size_t k = 0; same && k < got.size(); ++k) {
+          same = query::Canonicalize(got[k]).text ==
+                 query::Canonicalize(reference[k]).text;
+        }
+        ctx->Check(same, "pruned_vs_exhaustive",
+                   where + " rewritings differ from the reference search (" +
+                       std::to_string(got.size()) + " vs " +
+                       std::to_string(reference.size()) + ")");
+      }
+      std::string diff;
+      bool equal = SearchStatsEqual(reference_stats, route_stats, &diff);
+      ctx->Check(equal, "pruned_vs_exhaustive",
+                 where + " stats differ: " + diff);
+      if (i < unlimited.outcomes.size()) {
+        compare_answer(where, unlimited.outcomes[i],
+                       ReferenceAnswer(net, q, reference, fault_free));
+      }
+      // Queries draw from one injector in order, as in the engine run.
+      if (i < unlimited_faulted.outcomes.size()) {
+        compare_answer(where + " (faulted)", unlimited_faulted.outcomes[i],
+                       ReferenceAnswer(net, q, reference, faulted));
+      }
+    }
+  }
 
   // Bounded budget (1-3 uniform-cost hops, seed-derived so replays are
   // exact): answers shrink monotonically. The subset claim only holds
-  // when the exhaustive search was actually exhaustive — if it stopped
+  // when the unlimited search was actually exhaustive — if it stopped
   // at max_rewritings, pruning can surface rewritings the truncated run
   // never emitted, so the comparison is skipped for that query.
   EngineConfig bounded_cfg = unlimited_cfg;
@@ -824,30 +896,35 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
   bounded_cfg.route_prune_redundant = 1;
   EngineRun bounded = Run(c, bounded_cfg);
   CheckStatsInvariants(ctx, c, bounded, /*with_faults=*/false);
-  size_t n = std::min(bounded.outcomes.size(), exhaustive.outcomes.size());
+  size_t n = std::min(bounded.outcomes.size(), unlimited.outcomes.size());
   for (size_t i = 0; i < n; ++i) {
     const QueryOutcome& b = bounded.outcomes[i];
-    const QueryOutcome& e = exhaustive.outcomes[i];
-    if (!b.status.ok() || !e.status.ok()) continue;
+    const QueryOutcome& u = unlimited.outcomes[i];
+    if (!b.status.ok() || !u.status.ok()) continue;
     std::string where = "query " + std::to_string(i);
-    ctx->Check(b.stats.reformulation.rewritings <=
-                   e.stats.reformulation.rewritings,
+    // Without containment pruning the bounded rewritings are a subset of
+    // the unlimited ones. With it they need not be: a rewriting the
+    // budget or cycle elimination drops can no longer prune later
+    // rewritings it contains (their rows are still a subset).
+    ctx->Check(c.reform.prune_contained ||
+                   b.stats.reformulation.rewritings <=
+                       u.stats.reformulation.rewritings,
                "pruned_vs_exhaustive",
                where + " bounded budget found more rewritings than the "
-                       "exhaustive search");
-    if (e.stats.reformulation.rewritings >= c.reform.max_rewritings) {
-      continue;  // exhaustive run was truncated; subset claim is void
+                       "unlimited search");
+    if (u.stats.reformulation.rewritings >= c.reform.max_rewritings) {
+      continue;  // unlimited run was truncated; subset claim is void
     }
-    std::unordered_set<Row, storage::RowHash> full(e.rows.begin(),
-                                                   e.rows.end());
+    std::unordered_set<Row, storage::RowHash> full(u.rows.begin(),
+                                                   u.rows.end());
     bool subset = true;
     for (const Row& r : b.rows) {
       if (full.count(r) == 0) subset = false;
     }
     ctx->Check(subset, "pruned_vs_exhaustive",
                where + " bounded budget invented rows absent from the "
-                       "exhaustive answer: got " +
-                   DescribeRows(b.rows) + " domain " + DescribeRows(e.rows));
+                       "unlimited answer: got " +
+                   DescribeRows(b.rows) + " domain " + DescribeRows(u.rows));
   }
 
   // Bounded + faults: a fresh injector from the same seed replays the
@@ -858,7 +935,6 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
               Run(c, bounded_fault_cfg).outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 }
-
 
 uint64_t DigestRun(const std::vector<QueryOutcome>& outcomes) {
   uint64_t h = Fnv1a64("fuzz-digest-v1");
@@ -1103,7 +1179,12 @@ void CheckBuildOrderOracle(OracleContext* ctx, const FuzzCase& c) {
   CompareViews(ctx, "interleaved", reference,
                ViewNetwork(c, interleaved, /*cached_answers=*/true));
 
-  const size_t withheld = c.seed % c.tables.size();
+  std::vector<size_t> stored;
+  for (size_t i = 0; i < c.tables.size(); ++i) {
+    if (c.tables[i].stored) stored.push_back(i);
+  }
+  if (stored.empty()) return;
+  const size_t withheld = stored[c.seed % stored.size()];
   PdmsNetwork withheld_tf, withheld_il, dropped;
   Status built_tf =
       BuildInOrder(c, BuildOrder::kTablesFirst, &withheld_tf, withheld);
@@ -1268,9 +1349,9 @@ CaseReport CheckCase(const FuzzCase& c) {
               Run(c, col_fault_pool_cfg).outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
 
-  // 10. Cost-bounded route search vs the exhaustive legacy BFS
-  //     (ISSUE 9): unlimited budget byte-identical, bounded budget
-  //     subset-only, pruning counters exact, with and without faults.
+  // 10. The route search vs the reference exhaustive BFS: unlimited
+  //     budget identical rewritings, counters and answers (with and
+  //     without faults), bounded budget subset-only.
   CheckRouteOracle(&ctx, c);
 
   // 11. MVCC snapshots under a concurrent writer (ISSUE 10): answers
@@ -1467,7 +1548,6 @@ std::string SerializeCase(const FuzzCase& c) {
          (c.reform.prune_duplicates ? "1" : "0") + " " +
          (c.reform.prune_unreachable ? "1" : "0") + " " +
          (c.reform.prune_contained ? "1" : "0") + " " +
-         (c.reform.use_route_search ? "1" : "0") + " " +
          FormatDouble(c.reform.max_path_cost) + " " +
          (c.reform.prune_redundant_paths ? "1" : "0") + "\n";
   out += "retry " + std::to_string(c.retry.max_attempts) + " " +
@@ -1479,7 +1559,8 @@ std::string SerializeCase(const FuzzCase& c) {
   for (size_t t = 0; t < c.tables.size(); ++t) {
     const FuzzTable& table = c.tables[t];
     out += "table " + table.peer + " " + table.relation + " " +
-           std::to_string(table.arity) + "\n";
+           std::to_string(table.arity) + (table.stored ? "" : " virtual") +
+           "\n";
     for (size_t col : table.indexed_columns) {
       out += "index " + std::to_string(t) + " " + std::to_string(col) + "\n";
     }
@@ -1542,12 +1623,14 @@ Result<FuzzCase> ParseCase(std::string_view text) {
       c.reform.prune_duplicates = tok[3] == "1";
       c.reform.prune_unreachable = tok[4] == "1";
       c.reform.prune_contained = tok[5] == "1";
-      // Route knobs (ISSUE 9) — optional, so pre-route seed files and
-      // shrunken cases from older binaries still load.
-      if (tok.size() >= 9) {
-        c.reform.use_route_search = tok[6] == "1";
-        REVERE_ASSIGN_OR_RETURN(c.reform.max_path_cost, ParseF64(tok[7]));
-        c.reform.prune_redundant_paths = tok[8] == "1";
+      // Route knobs — optional, so pre-route seed files still load.
+      // Files written while a second search existed carry its selector
+      // before the budget; it is skipped.
+      size_t route = tok.size() >= 9 ? 7 : 6;
+      if (tok.size() >= 8) {
+        REVERE_ASSIGN_OR_RETURN(c.reform.max_path_cost,
+                                ParseF64(tok[route]));
+        c.reform.prune_redundant_paths = tok[route + 1] == "1";
       }
     } else if (kind == "retry") {
       REVERE_RETURN_IF_ERROR(need(3));
@@ -1571,6 +1654,7 @@ Result<FuzzCase> ParseCase(std::string_view text) {
       t.relation = tok[2];
       REVERE_ASSIGN_OR_RETURN(uint64_t arity, ParseU64(tok[3]));
       t.arity = static_cast<size_t>(arity);
+      t.stored = tok.size() < 5 || tok[4] != "virtual";
       c.tables.push_back(std::move(t));
     } else if (kind == "index") {
       REVERE_RETURN_IF_ERROR(need(2));

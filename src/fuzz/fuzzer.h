@@ -50,14 +50,17 @@ namespace revere::fuzz {
 ///                        free and faulted — and its answer digest
 ///                        matches the map-engine oracle's
 ///   10 pruned_vs_exhaustive
-///                        the route-mode best-first search (ISSUE 9) with
-///                        an unlimited budget == the legacy exhaustive
-///                        BFS byte for byte (rows, statuses, stats, zero
-///                        pruning counters); with a bounded
-///                        max_path_cost it may only *remove* answers —
-///                        every returned row is in the exhaustive answer
-///                        — with sane pruning accounting, fault-free and
-///                        faulted
+///                        the route search with an unlimited budget ==
+///                        the reference exhaustive BFS (src/fuzz/
+///                        reference, with its own productivity
+///                        fixpoint): the same rewritings in the same
+///                        order (α-canonically), equal search counters
+///                        with zero pruning, and the rows and statuses a
+///                        reference answer derives from them, fault-free
+///                        and faulted; with a bounded max_path_cost it
+///                        may only *remove* answers — every returned row
+///                        is in the unlimited answer — with sane pruning
+///                        accounting, and replays under faults
 ///   11 snapshot_vs_quiesced
 ///                        MVCC (ISSUE 10): answers computed while a
 ///                        writer thread churns every stored relation ==
@@ -79,11 +82,14 @@ namespace revere::fuzz {
 /// plus cross-cutting stats invariants (peers_contacted bounds,
 /// completeness arithmetic, plan-cache hit/miss flags).
 
-/// One stored relation in a case: all-string columns, bag semantics.
+/// One relation in a case: all-string columns, bag semantics.
 struct FuzzTable {
   std::string peer;
   std::string relation;  // unqualified
   size_t arity = 3;
+  /// False for a virtual relation: declared at its peer and named by
+  /// mappings and queries, but never stored (no rows, no indexes).
+  bool stored = true;
   std::vector<storage::Row> rows;  // string values only
   std::vector<size_t> indexed_columns;  // pre-built at network build
 };
@@ -133,7 +139,10 @@ struct FuzzCaseOptions {
   /// Random-topology chord probability — the one documented default,
   /// shared with datagen::PdmsGenOptions (they used to drift).
   double extra_edge_prob = datagen::kDefaultExtraEdgeProb;
-  double route_case_prob = 0.3;  // chance a case runs route-mode search
+  /// Chance a case prunes its search: a hop budget or redundant-path
+  /// elimination (oracle 10 compares against the unpruned search
+  /// either way).
+  double route_case_prob = 0.3;
 };
 
 /// Deterministically generates the case for `seed` (same seed, same

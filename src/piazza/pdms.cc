@@ -25,32 +25,13 @@ using query::ConjunctiveQuery;
 using query::QTerm;
 using query::Substitution;
 
-/// Canonical form of a CQ for duplicate pruning: α-renamed via
-/// query::Canonicalize, then body atoms sorted (reformulation dedup
-/// wants atom order ignored, unlike the order-preserving plan-cache
-/// key).
-std::string CanonicalKey(const ConjunctiveQuery& q) {
-  ConjunctiveQuery n = query::Canonicalize(q).query;
-  std::vector<std::string> atoms;
-  atoms.reserve(n.body().size());
-  for (const auto& a : n.body()) atoms.push_back(a.ToString());
-  std::sort(atoms.begin(), atoms.end());
-  std::string key = n.HeadAtom().ToString() + "|";
-  for (const auto& a : atoms) {
-    key += a;
-    key += ";";
-  }
-  return key;
-}
-
 /// Plan-cache key: the order-preserving canonical query text plus every
 /// option that shapes the rewriting set. Two α-equivalent queries with
 /// equal options share one entry; anything else never collides (the
-/// full text is compared, not just the fingerprint). Route-mode keys
-/// additionally carry the cost budget, the redundancy knob, and the
-/// route table's epoch (bulk cost changes re-key; per-contact EWMA
-/// drift deliberately does not, so warm keys stay stable under
-/// feedback). Legacy-mode keys keep the exact pre-route format.
+/// full text is compared, not just the fingerprint). The key carries
+/// the cost budget, the redundancy knob and the route table's epoch:
+/// bulk cost changes re-key, per-contact EWMA drift deliberately does
+/// not, so warm keys stay stable under feedback.
 std::string PlanKeyText(const ConjunctiveQuery& query,
                         const ReformulationOptions& options,
                         uint64_t route_epoch) {
@@ -63,27 +44,20 @@ std::string PlanKeyText(const ConjunctiveQuery& query,
   key += options.prune_duplicates ? '1' : '0';
   key += options.prune_unreachable ? '1' : '0';
   key += options.prune_contained ? '1' : '0';
-  if (options.use_route_search) {
-    key += "|route";
-    key += options.prune_redundant_paths ? '1' : '0';
-    key += "|b";
-    key += std::to_string(options.max_path_cost);
-    key += "|e";
-    key += std::to_string(route_epoch);
-  }
+  key += "|route";
+  key += options.prune_redundant_paths ? '1' : '0';
+  key += "|b";
+  key += std::to_string(options.max_path_cost);
+  key += "|e";
+  key += std::to_string(route_epoch);
   return key;
 }
 
-struct WorkItem {
-  ConjunctiveQuery query;
-  int depth = 0;
-};
-
-/// Route-mode search node: a rewriting-in-progress plus the cost and
-/// peer path accumulated reaching it. Ordered by (cost, seq) in the
-/// best-first queue; `seq` is the monotone push order, so with uniform
-/// edge costs the pop order is exactly the legacy BFS's FIFO order —
-/// the invariant the `pruned_vs_exhaustive` fuzz oracle leans on.
+/// Search node: a rewriting-in-progress plus the cost and peer path
+/// accumulated reaching it. Ordered by (cost, seq) in the best-first
+/// queue; `seq` is the monotone push order, so with uniform edge costs
+/// the pop order is breadth-first FIFO order — the order the
+/// `pruned_vs_exhaustive` fuzz oracle checks against its reference.
 struct RouteItem {
   ConjunctiveQuery query;
   int depth = 0;
@@ -250,9 +224,9 @@ Status PdmsNetwork::AddMapping(PeerMapping mapping) {
   // target-body relation into the source body; a backward application
   // (equality mappings only) the other way round. One `rewrites` entry
   // per distinct relation per direction, appended in mapping order so
-  // the indexed expansion enumerates candidates in exactly the order
-  // the legacy all-mappings scan does; `feeds` holds the same uses
-  // keyed by their body relations.
+  // the indexed expansion enumerates candidates in exactly the order a
+  // scan of every mapping would; `feeds` holds the same uses keyed by
+  // their body relations.
   //
   // Plans to invalidate: the endpoints, the peer of every relation the
   // mapping mentions (a body may name a third peer's relation, and a
@@ -294,20 +268,13 @@ void PdmsNetwork::InvalidatePlansTouching(const std::set<std::string>& peers) {
     std::unique_lock<std::shared_mutex> lock(gen_mu_);
     for (const auto& p : peers) ++peer_generations_[p];
   }
-  InvalidatePlans();  // the mutation clock always moves
+  generation_.fetch_add(1, std::memory_order_relaxed);
 }
 
 uint64_t PdmsNetwork::peer_generation(const std::string& peer) const {
   std::shared_lock<std::shared_mutex> lock(gen_mu_);
   auto it = peer_generations_.find(peer);
   return it == peer_generations_.end() ? 0 : it->second;
-}
-
-void PdmsNetwork::set_scoped_invalidation(bool enabled) {
-  bool was = scoped_invalidation_.exchange(enabled, std::memory_order_relaxed);
-  // Entries written in one mode carry stamps the other mode cannot
-  // interpret (scoped pins the entry generation to 0); drop them.
-  if (was != enabled) plan_cache_->Clear();
 }
 
 void PdmsNetwork::FireUse(const MappingUse& use,
@@ -365,13 +332,20 @@ void PdmsNetwork::OnTableChange(const std::string& name,
   InvalidatePlansTouching(touched);
 }
 
-namespace {
+std::string CanonicalKey(const ConjunctiveQuery& q) {
+  ConjunctiveQuery n = query::Canonicalize(q).query;
+  std::vector<std::string> atoms;
+  atoms.reserve(n.body().size());
+  for (const auto& a : n.body()) atoms.push_back(a.ToString());
+  std::sort(atoms.begin(), atoms.end());
+  std::string key = n.HeadAtom().ToString() + "|";
+  for (const auto& a : atoms) {
+    key += a;
+    key += ";";
+  }
+  return key;
+}
 
-/// Attempts to rewrite atom `goal_idx` of `q` using one (source→target)
-/// mapping application: unify the goal with a target-body atom, check
-/// that needed variables are exported through the target head, and
-/// splice in the instantiated source body. Appends each successful
-/// rewriting to `out`.
 void ApplyMappingToGoal(const ConjunctiveQuery& q, size_t goal_idx,
                         const ConjunctiveQuery& map_source,
                         const ConjunctiveQuery& map_target, int fresh_id,
@@ -483,8 +457,6 @@ void ApplyMappingToGoal(const ConjunctiveQuery& q, size_t goal_idx,
   }
 }
 
-}  // namespace
-
 Result<size_t> PdmsNetwork::RegisterView(const std::string& peer,
                                          query::ConjunctiveQuery definition) {
   if (!HasPeer(peer)) return Status::NotFound("no peer '" + peer + "'");
@@ -592,30 +564,26 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
   plan_cache_->SetMetricsEnabled(metrics_enabled());
 }
 
-/// The uncached transitive-closure search, plus the cache consultation
-/// wrapped around it. The plan depends only on (canonical query,
-/// options, mappings/topology, and — in route mode — the route table's
-/// epoch), so a hit is exact: the same rewriting vector the search
-/// would produce, in the same order — and the stats of the run that
-/// produced it, so instrumentation never reads zeros on the warm path.
+/// The transitive-closure search, plus the cache consultation wrapped
+/// around it. The plan depends only on (canonical query, options,
+/// mappings/topology, route-table epoch), so a hit is exact: the same
+/// rewriting vector the search would produce, in the same order — and
+/// the stats of the run that produced it, so instrumentation never
+/// reads zeros on the warm path.
 ///
-/// Two search strategies share the emission/pruning skeleton:
-///  - legacy (default): breadth-first FIFO over a linear scan of every
-///    mapping at every node — kept bit-for-bit so pre-route behavior is
-///    reproducible (`use_route_search = false`);
-///  - route mode (ISSUE 9): best-first by accumulated RouteTable path
-///    cost through the relation→mapping index, with an optional cost
-///    budget (`max_path_cost` → pruned_cost) and redundant-path
-///    elimination (`prune_redundant_paths` → pruned_redundant). With
-///    uniform costs and no budget its pop order equals the FIFO order,
-///    so the rewriting sets coincide (fuzz oracle 10).
+/// The search is best-first by accumulated RouteTable path cost through
+/// the relation→mapping index, with an optional cost budget
+/// (`max_path_cost` → pruned_cost) and redundant-path elimination
+/// (`prune_redundant_paths` → pruned_redundant). With an unseeded
+/// route table every hop costs the same and nodes pop in breadth-first
+/// order (fuzz oracle 10 checks this against a reference search).
 ///
-/// Scoped invalidation (default): plans record every peer their search
-/// touched with that peer's stamp; Lookup revalidates through a scope
-/// check instead of the global generation, so structural changes at
-/// untouched peers leave warm plans servable. Structural mutations are
-/// externally synchronized with queries (the repo-wide contract — the
-/// mapping list itself is not locked); concurrent *answers* are fine.
+/// Invalidation is scoped: a plan records every peer its search touched
+/// with that peer's stamp, and Lookup revalidates it by comparing
+/// stamps, so structural changes at untouched peers leave warm plans
+/// servable. Structural mutations are externally synchronized with
+/// queries (the repo-wide contract — the mapping list itself is not
+/// locked); concurrent *answers* are fine.
 Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
     ReformulationStats* stats, obs::Tracer* tracer,
@@ -624,45 +592,37 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
       obs::StartSpan(tracer, "reformulate", parent_span);
   const bool use_cache =
       options.use_plan_cache && plan_cache_->capacity() > 0;
-  const bool scoped = scoped_invalidation();
   std::string key;
   uint64_t fingerprint = 0;
-  uint64_t generation = 0;
   if (use_cache) {
     obs::Span cache_span =
         obs::StartSpan(tracer, "plan_cache", reformulate_span.id());
     key = PlanKeyText(query, options, route_table_->epoch());
     fingerprint = Fnv1a64(key);
-    std::function<bool(const CachedPlan&)> validator;
-    if (scoped) {
-      // Scope check, O(1) warm: the mutation clock hasn't moved past
-      // the last validation → still good. Otherwise compare each
-      // touched peer's recorded stamp; all equal → advance the memo.
-      validator = [this](const CachedPlan& plan) {
-        uint64_t now = generation_.load(std::memory_order_acquire);
-        if (plan.valid_through.load(std::memory_order_relaxed) >= now) {
-          return true;
-        }
-        {
-          std::shared_lock<std::shared_mutex> lock(gen_mu_);
-          for (const auto& [peer, stamp] : plan.touched) {
-            auto it = peer_generations_.find(peer);
-            uint64_t current =
-                it == peer_generations_.end() ? 0 : it->second;
-            if (current != stamp) return false;
-          }
-        }
-        uint64_t prev = plan.valid_through.load(std::memory_order_relaxed);
-        while (prev < now && !plan.valid_through.compare_exchange_weak(
-                                 prev, now, std::memory_order_relaxed)) {
-        }
+    // Scope check, O(1) warm: the mutation clock hasn't moved past the
+    // last validation → still good. Otherwise compare each touched
+    // peer's recorded stamp; all equal → advance the memo.
+    auto validator = [this](const CachedPlan& plan) {
+      uint64_t now = generation_.load(std::memory_order_acquire);
+      if (plan.valid_through.load(std::memory_order_relaxed) >= now) {
         return true;
-      };
-    } else {
-      generation = generation_.load(std::memory_order_relaxed);
-    }
+      }
+      {
+        std::shared_lock<std::shared_mutex> lock(gen_mu_);
+        for (const auto& [peer, stamp] : plan.touched) {
+          auto it = peer_generations_.find(peer);
+          uint64_t current = it == peer_generations_.end() ? 0 : it->second;
+          if (current != stamp) return false;
+        }
+      }
+      uint64_t prev = plan.valid_through.load(std::memory_order_relaxed);
+      while (prev < now && !plan.valid_through.compare_exchange_weak(
+                               prev, now, std::memory_order_relaxed)) {
+      }
+      return true;
+    };
     if (std::shared_ptr<const CachedPlan> plan =
-            plan_cache_->Lookup(fingerprint, key, generation, validator)) {
+            plan_cache_->Lookup(fingerprint, key, validator)) {
       cache_span.AddAttr("hit", 1);
       reformulate_span.AddAttr("rewritings", plan->rewritings.size());
       if (stats != nullptr) {
@@ -674,10 +634,9 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
     cache_span.AddAttr("hit", 0);
   }
   // Peers this search reads, for the plan's invalidation scope.
-  const bool record_touched = use_cache && scoped;
   std::set<std::string> touched_peers;
   auto touch = [&](const ConjunctiveQuery& q) {
-    if (!record_touched) return;
+    if (!use_cache) return;
     for (const auto& a : q.body()) {
       auto [peer, rel] = SplitQualifiedName(a.relation);
       if (!peer.empty()) touched_peers.insert(peer);
@@ -690,203 +649,139 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   seen.insert(CanonicalKey(query));
   int fresh_id = 0;
 
-  // Shared emission/pruning skeleton for both strategies. Returns false
-  // when the node is dead (pruned or past its depth); `emitted` is set
-  // when the node produced a rewriting.
-  auto prune_unreachable_node = [&](const ConjunctiveQuery& q) {
-    if (!options.prune_unreachable) return false;
-    for (const auto& a : q.body()) {
-      if (productive_.count(a.relation) == 0) return true;
-    }
-    return false;
+  // Nodes live in a stable arena; the heap orders (cost, seq) where seq
+  // is the arena index (== push order), so equal-cost nodes pop FIFO.
+  std::deque<RouteItem> arena;
+  struct HeapEntry {
+    double cost;
+    uint64_t seq;
   };
-  auto is_all_stored = [&](const ConjunctiveQuery& q) {
-    for (const auto& a : q.body()) {
-      if (!IsStored(a.relation)) return false;
-    }
-    return true;
+  auto heap_after = [](const HeapEntry& a, const HeapEntry& b) {
+    if (a.cost != b.cost) return a.cost > b.cost;
+    return a.seq > b.seq;
   };
-  auto contained_in_results = [&](const ConjunctiveQuery& q) {
-    if (!options.prune_contained) return false;
-    for (const auto& prior : results) {
-      if (query::Contains(prior, q)) {
-        ++local.pruned_contained;
-        return true;
+  std::vector<HeapEntry> heap;
+  auto push_node = [&](RouteItem item) {
+    item.seq = arena.size();
+    heap.push_back(HeapEntry{item.cost, item.seq});
+    arena.push_back(std::move(item));
+    std::push_heap(heap.begin(), heap.end(), heap_after);
+  };
+  // Emitted-rewriting fingerprints for redundant-path elimination (only
+  // observable with prune_duplicates off — the seen set already
+  // guarantees distinct search nodes).
+  std::set<std::string> kept_keys;
+  RouteItem root;
+  root.query = query;
+  // Seed the cycle-elimination path with the root's own peers, so a
+  // path that detours and returns to the origin counts as a cycle.
+  if (options.prune_redundant_paths) {
+    std::set<std::string> root_peers;
+    for (const auto& a : query.body()) {
+      auto [peer, rel] = SplitQualifiedName(a.relation);
+      if (!peer.empty() && root_peers.insert(peer).second) {
+        root.peer_path.push_back(peer);
       }
     }
-    return false;
-  };
+  }
+  push_node(std::move(root));
 
-  if (!options.use_route_search) {
-    // ---- Legacy breadth-first search (pre-route, bit-identical) ----
-    std::deque<WorkItem> worklist;
-    worklist.push_back({query, 0});
-    while (!worklist.empty() && results.size() < options.max_rewritings) {
-      WorkItem item = std::move(worklist.front());
-      worklist.pop_front();
-      ++local.nodes_expanded;
-      touch(item.query);
+  while (!heap.empty() && results.size() < options.max_rewritings) {
+    std::pop_heap(heap.begin(), heap.end(), heap_after);
+    RouteItem item = std::move(arena[heap.back().seq]);
+    heap.pop_back();
+    ++local.nodes_expanded;
+    touch(item.query);
 
-      // Irrelevant-path pruning: some atom can never reach stored data.
-      if (prune_unreachable_node(item.query)) {
-        ++local.pruned_unreachable;
-        continue;
+    // Irrelevant-path pruning: some atom can never reach stored data.
+    if (options.prune_unreachable &&
+        std::any_of(item.query.body().begin(), item.query.body().end(),
+                    [this](const Atom& a) {
+                      return productive_.count(a.relation) == 0;
+                    })) {
+      ++local.pruned_unreachable;
+      continue;
+    }
+
+    // A query fully grounded in stored relations is an answerable
+    // rewriting — emit it. A peer relation may be stored *and* mapped
+    // (every peer in the paper's example both holds courses and
+    // imports them), so we keep expanding either way.
+    bool all_stored = std::all_of(
+        item.query.body().begin(), item.query.body().end(),
+        [this](const Atom& a) { return IsStored(a.relation); });
+    bool contained = false;
+    if (all_stored && options.prune_contained) {
+      for (const auto& prior : results) {
+        if (query::Contains(prior, item.query)) {
+          ++local.pruned_contained;
+          contained = true;
+          break;
+        }
       }
-
-      // A query fully grounded in stored relations is an answerable
-      // rewriting — emit it. A peer relation may be stored *and* mapped
-      // (every peer in the paper's example both holds courses and
-      // imports them), so we keep expanding either way.
-      bool all_stored = is_all_stored(item.query);
-      if (all_stored && !contained_in_results(item.query)) {
+    }
+    if (all_stored && !contained) {
+      if (options.prune_redundant_paths &&
+          !kept_keys.insert(CanonicalKey(item.query)).second) {
+        ++local.pruned_redundant;
+      } else {
         results.push_back(item.query);
         if (results.size() >= options.max_rewritings) break;
       }
-      if (item.depth >= options.max_depth) {
-        if (!all_stored) ++local.pruned_depth;
-        continue;
-      }
+    }
+    if (item.depth >= options.max_depth) {
+      if (!all_stored) ++local.pruned_depth;
+      continue;
+    }
 
-      std::vector<ConjunctiveQuery> expansions;
-      for (size_t goal_idx = 0; goal_idx < item.query.body().size();
-           ++goal_idx) {
-        for (const auto& m : mappings_) {
-          ApplyMappingToGoal(item.query, goal_idx, m.glav.source,
-                             m.glav.target, fresh_id++, &expansions);
-          if (m.bidirectional) {
-            ApplyMappingToGoal(item.query, goal_idx, m.glav.target,
-                               m.glav.source, fresh_id++, &expansions);
-          }
+    for (size_t goal_idx = 0; goal_idx < item.query.body().size();
+         ++goal_idx) {
+      auto idx_it = mapping_index_.find(item.query.body()[goal_idx].relation);
+      if (idx_it == mapping_index_.end()) continue;
+      for (const MappingUse& use : idx_it->second.rewrites) {
+        const PeerMapping& m = mappings_[use.index];
+        const ConjunctiveQuery& map_source =
+            use.forward ? m.glav.source : m.glav.target;
+        const ConjunctiveQuery& map_target =
+            use.forward ? m.glav.target : m.glav.source;
+        const std::string& entered =
+            use.forward ? m.source_peer : m.target_peer;
+        if (options.prune_redundant_paths &&
+            std::find(item.peer_path.begin(), item.peer_path.end(),
+                      entered) != item.peer_path.end()) {
+          // Cycle elimination: this application re-enters a peer
+          // already on the path.
+          ++local.pruned_redundant;
+          continue;
         }
-      }
-      for (auto& e : expansions) {
-        std::string ckey = CanonicalKey(e);
-        if (options.prune_duplicates) {
-          if (!seen.insert(ckey).second) {
+        double child_cost = item.cost + route_table_->CostOf(entered);
+        if (options.max_path_cost > 0.0 &&
+            child_cost > options.max_path_cost) {
+          ++local.pruned_cost;
+          continue;
+        }
+        std::vector<ConjunctiveQuery> expansions;
+        ApplyMappingToGoal(item.query, goal_idx, map_source, map_target,
+                           fresh_id++, &expansions);
+        for (auto& e : expansions) {
+          // Insert a copy, not the temporary: the copy is allocated at
+          // its exact size, and moving the over-capacity buffer in made
+          // the next mapping insert ~3x slower on the 1000-peer churn
+          // workload (heap state after a wide search).
+          std::string ckey = CanonicalKey(e);
+          if (options.prune_duplicates && !seen.insert(ckey).second) {
             ++local.pruned_duplicates;
             continue;
           }
-        }
-        worklist.push_back({std::move(e), item.depth + 1});
-      }
-    }
-  } else {
-    // ---- Route mode: cost-ordered best-first over the mapping index --
-    // Nodes live in a stable arena; the heap orders (cost, seq) where
-    // seq is the arena index (== push order), so equal-cost nodes pop
-    // FIFO and uniform costs reproduce the legacy BFS order exactly.
-    std::deque<RouteItem> arena;
-    struct HeapEntry {
-      double cost;
-      uint64_t seq;
-    };
-    auto heap_after = [](const HeapEntry& a, const HeapEntry& b) {
-      if (a.cost != b.cost) return a.cost > b.cost;
-      return a.seq > b.seq;
-    };
-    std::vector<HeapEntry> heap;
-    auto push_node = [&](RouteItem item) {
-      item.seq = arena.size();
-      heap.push_back(HeapEntry{item.cost, item.seq});
-      arena.push_back(std::move(item));
-      std::push_heap(heap.begin(), heap.end(), heap_after);
-    };
-    // Emitted-rewriting fingerprints for redundant-path elimination
-    // (only observable with prune_duplicates off — the seen set already
-    // guarantees distinct search nodes).
-    std::set<std::string> kept_keys;
-    RouteItem root;
-    root.query = query;
-    // Seed the cycle-elimination path with the root's own peers, so a
-    // path that detours and returns to the origin counts as a cycle.
-    if (options.prune_redundant_paths) {
-      std::set<std::string> root_peers;
-      for (const auto& a : query.body()) {
-        auto [peer, rel] = SplitQualifiedName(a.relation);
-        if (!peer.empty() && root_peers.insert(peer).second) {
-          root.peer_path.push_back(peer);
-        }
-      }
-    }
-    push_node(std::move(root));
-
-    while (!heap.empty() && results.size() < options.max_rewritings) {
-      std::pop_heap(heap.begin(), heap.end(), heap_after);
-      RouteItem item = std::move(arena[heap.back().seq]);
-      heap.pop_back();
-      ++local.nodes_expanded;
-      touch(item.query);
-
-      if (prune_unreachable_node(item.query)) {
-        ++local.pruned_unreachable;
-        continue;
-      }
-
-      bool all_stored = is_all_stored(item.query);
-      if (all_stored && !contained_in_results(item.query)) {
-        bool redundant = false;
-        if (options.prune_redundant_paths &&
-            !kept_keys.insert(CanonicalKey(item.query)).second) {
-          ++local.pruned_redundant;
-          redundant = true;
-        }
-        if (!redundant) {
-          results.push_back(item.query);
-          if (results.size() >= options.max_rewritings) break;
-        }
-      }
-      if (item.depth >= options.max_depth) {
-        if (!all_stored) ++local.pruned_depth;
-        continue;
-      }
-
-      for (size_t goal_idx = 0; goal_idx < item.query.body().size();
-           ++goal_idx) {
-        auto idx_it = mapping_index_.find(item.query.body()[goal_idx].relation);
-        if (idx_it == mapping_index_.end()) continue;
-        for (const MappingUse& use : idx_it->second.rewrites) {
-          const PeerMapping& m = mappings_[use.index];
-          const ConjunctiveQuery& map_source =
-              use.forward ? m.glav.source : m.glav.target;
-          const ConjunctiveQuery& map_target =
-              use.forward ? m.glav.target : m.glav.source;
-          const std::string& entered =
-              use.forward ? m.source_peer : m.target_peer;
-          if (options.prune_redundant_paths &&
-              std::find(item.peer_path.begin(), item.peer_path.end(),
-                        entered) != item.peer_path.end()) {
-            // Cycle elimination: this application re-enters a peer
-            // already on the path.
-            ++local.pruned_redundant;
-            continue;
+          RouteItem child;
+          child.query = std::move(e);
+          child.depth = item.depth + 1;
+          child.cost = child_cost;
+          child.peer_path = item.peer_path;
+          if (options.prune_redundant_paths) {
+            child.peer_path.push_back(entered);
           }
-          double child_cost = item.cost + route_table_->CostOf(entered);
-          if (options.max_path_cost > 0.0 &&
-              child_cost > options.max_path_cost) {
-            ++local.pruned_cost;
-            continue;
-          }
-          std::vector<ConjunctiveQuery> expansions;
-          ApplyMappingToGoal(item.query, goal_idx, map_source, map_target,
-                             fresh_id++, &expansions);
-          for (auto& e : expansions) {
-            std::string ckey = CanonicalKey(e);
-            if (options.prune_duplicates) {
-              if (!seen.insert(ckey).second) {
-                ++local.pruned_duplicates;
-                continue;
-              }
-            }
-            RouteItem child;
-            child.query = std::move(e);
-            child.depth = item.depth + 1;
-            child.cost = child_cost;
-            child.peer_path = item.peer_path;
-            if (options.prune_redundant_paths) {
-              child.peer_path.push_back(entered);
-            }
-            push_node(std::move(child));
-          }
+          push_node(std::move(child));
         }
       }
     }
@@ -895,9 +790,8 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   auto built = std::make_shared<CachedPlan>();
   built->rewritings = std::move(results);
   built->stats = local;
-  if (record_touched) {
-    built->built_generation = generation_.load(std::memory_order_relaxed);
-    built->valid_through.store(built->built_generation,
+  if (use_cache) {
+    built->valid_through.store(generation_.load(std::memory_order_relaxed),
                                std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> lock(gen_mu_);
     built->touched.reserve(touched_peers.size());
@@ -909,10 +803,7 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   }
   std::shared_ptr<const CachedPlan> plan = std::move(built);
   if (use_cache) {
-    // Scoped mode pins the entry generation to 0 (freshness is the
-    // validator's call); Insert's stale-generation purge goes inert and
-    // scope-stale entries are replaced on re-insert or LRU-evicted.
-    plan_cache_->Insert(fingerprint, std::move(key), generation, plan);
+    plan_cache_->Insert(fingerprint, std::move(key), plan);
     local.plan_cache_misses = 1;
   }
   // Mirror the search counters into the process-wide registry — only

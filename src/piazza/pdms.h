@@ -250,40 +250,31 @@ class PdmsNetwork {
   /// Hit/miss/eviction counters for benches and tests.
   PlanCache::Stats PlanCacheStats() const { return plan_cache_->GetStats(); }
   /// The mutation clock: bumped whenever mappings, stored relations,
-  /// views, or topology change. Under scoped invalidation (the default)
-  /// it is the fast-path freshness check cached plans memoize against;
-  /// under `set_scoped_invalidation(false)` it is the sole invalidation
-  /// key — cached plans from older generations are never served.
+  /// views, or topology change. Cached plans are validated against
+  /// per-peer stamps (see peer_generation()); this clock only lets a
+  /// plan skip that check when nothing changed since it last passed.
   uint64_t plan_generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
 
   // ---- Scoped plan invalidation (ISSUE 9) ---------------------------
+  //
+  // A structural change invalidates only the cached plans whose search
+  // touched a changed peer, so an `AddPeer` on a 1k-peer network leaves
+  // the other 999 peers' warm plans servable.
 
-  /// Scoped (per-peer) invalidation, on by default: a structural change
-  /// invalidates only the cached plans whose search touched a changed
-  /// peer, so an `AddPeer` on a 1k-peer network leaves the other 999
-  /// peers' warm plans servable. `false` restores the pre-route global
-  /// behavior — every mutation drops every plan — as a safety escape
-  /// hatch and the bench's comparison arm. Switching modes clears the
-  /// cache (entries from the two modes carry incompatible stamps).
-  void set_scoped_invalidation(bool enabled);
-  bool scoped_invalidation() const {
-    return scoped_invalidation_.load(std::memory_order_relaxed);
-  }
   /// The per-peer invalidation stamp (0 until the peer's first
   /// structural change — including its own join). For tests.
   uint64_t peer_generation(const std::string& peer) const;
 
   // ---- Scale-aware routing (ISSUE 9) --------------------------------
 
-  /// This network's route table: per-peer cost estimates driving the
-  /// cost-bounded reformulation search
-  /// (ReformulationOptions::use_route_search). Seed it via
-  /// route::SeedFrom* or SetStaticCost, or wire live feedback with
-  /// NetworkCostModel::route_feedback. With no estimates every peer
-  /// costs RouteTable::kDefaultCost, making route-mode search order
-  /// identical to the legacy breadth-first expansion.
+  /// This network's route table: per-peer cost estimates that order and
+  /// bound the reformulation search (ReformulationOptions::
+  /// max_path_cost). Seed it via route::SeedFrom* or SetStaticCost, or
+  /// wire live feedback with NetworkCostModel::route_feedback. With no
+  /// estimates every peer costs RouteTable::kDefaultCost, so the search
+  /// expands nodes in breadth-first order.
   route::RouteTable* route_table() const { return route_table_.get(); }
 
   /// Declarative overlay-shape metadata from the `topology` config
@@ -409,16 +400,9 @@ class PdmsNetwork {
   /// peer whose relations flipped get their plans invalidated.
   void OnTableChange(const std::string& name, storage::TableChange change);
 
-  /// Marks a change to mappings/topology/views: bumps the mutation
-  /// clock so every previously cached plan reads as stale (legacy mode)
-  /// or gets its scope re-validated (scoped mode).
-  void InvalidatePlans() {
-    generation_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Scoped invalidation: bumps the mutation clock AND the per-peer
-  /// stamp of every peer in `peers`, so only plans whose search touched
-  /// one of them fail scope validation. Callers pass the peers a
+  /// Marks a structural change: bumps the mutation clock and the
+  /// per-peer stamp of every peer in `peers`, so only plans whose
+  /// search touched one of them fail scope validation. Callers pass the peers a
   /// mutation structurally affects (a new mapping's endpoints and the
   /// peers of the relations it names, the peer gaining or losing
   /// storage, plus every peer whose relations changed productivity).
@@ -454,8 +438,8 @@ class PdmsNetwork {
     /// Uses that can rewrite an atom of the relation: a forward use of
     /// each mapping whose target body mentions it, a backward use of
     /// each bidirectional mapping whose source body does. Lets the
-    /// route-mode search touch only the mappings incident to a node's
-    /// atoms instead of scanning all of them — the O(edges-at-node) vs
+    /// search touch only the mappings incident to a node's atoms
+    /// instead of scanning all of them — the O(edges-at-node) vs
     /// O(all-mappings) difference that makes 1k-peer reformulation
     /// interactive.
     std::vector<MappingUse> rewrites;
@@ -479,8 +463,6 @@ class PdmsNetwork {
   /// take gen_mu_ alone.
   mutable std::shared_mutex gen_mu_;
   std::map<std::string, uint64_t> peer_generations_;
-  /// See set_scoped_invalidation().
-  std::atomic<bool> scoped_invalidation_{true};
   /// See set_topology_hint().
   std::string topology_hint_;
   size_t declared_peers_ = 0;

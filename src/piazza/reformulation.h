@@ -2,12 +2,17 @@
 #define REVERE_PIAZZA_REFORMULATION_H_
 
 #include <cstddef>
+#include <string>
+#include <vector>
+
+#include "src/query/cq.h"
 
 namespace revere::piazza {
 
 /// Knobs for transitive-closure query reformulation (§3.1.1). Every
 /// field participates in the plan-cache key (two calls with different
-/// options never share a cached plan) except `use_plan_cache` itself.
+/// options never share a cached plan) except `use_plan_cache` itself
+/// and the ignored `use_route_search`.
 struct ReformulationOptions {
   /// Maximum mapping-application depth along any path.
   int max_depth = 12;
@@ -31,25 +36,25 @@ struct ReformulationOptions {
   bool use_plan_cache = true;
 
   // ---- Scale-aware routing (ISSUE 9) --------------------------------
+  //
+  // Reformulation is a best-first search ordered by accumulated
+  // peer-path cost from the network's RouteTable, expanding each node
+  // through a relation→mapping index. With every budget below at its
+  // default the search is exhaustive; with an unseeded route table
+  // every hop costs the same and nodes pop in breadth-first order.
 
-  /// Route-mode search: best-first expansion ordered by accumulated
-  /// peer-path cost from the network's RouteTable, expanding candidates
-  /// through a relation→mapping index instead of scanning every mapping
-  /// at every node. With every budget below unlimited (max_path_cost
-  /// = 0, prune_redundant_paths = false) the rewriting set is identical
-  /// to the legacy breadth-first search — uniform edge costs make the
-  /// priority queue pop in exact BFS order — which the tenth fuzz
-  /// oracle (`pruned_vs_exhaustive`) checks case by case.
+  /// Ignored. The route search is the only search; the field remains
+  /// only so existing callers that assign it still compile, and it
+  /// reaches neither the search nor the plan-cache key.
   bool use_route_search = false;
   /// Cost budget: a search path whose accumulated RouteTable edge cost
   /// exceeds this is not expanded (counted in `pruned_cost`). 0 means
-  /// unlimited. Only meaningful with use_route_search.
+  /// unlimited.
   double max_path_cost = 0.0;
   /// Redundant-path elimination beyond syntactic dedup: skip expansions
   /// that re-enter a peer already on the path (cycle elimination) and
   /// drop emitted rewritings whose canonical fingerprint was already
-  /// kept (counted in `pruned_redundant`). Only meaningful with
-  /// use_route_search.
+  /// kept (counted in `pruned_redundant`).
   bool prune_redundant_paths = false;
 };
 
@@ -64,13 +69,13 @@ struct ReformulationStats {
   size_t pruned_unreachable = 0;
   size_t pruned_depth = 0;
   size_t pruned_contained = 0;
-  /// Route mode (ISSUE 9): expansions dropped because their accumulated
+  /// Expansions dropped because their accumulated
   /// peer-path cost exceeded `max_path_cost` — the honest completeness
   /// ledger for cost-bounded search (a nonzero value means the
   /// rewriting set may be a subset of the exhaustive one). Reported as
   /// `rewritings_pruned_cost` in docs/benches.
   size_t pruned_cost = 0;
-  /// Route mode: expansions/emissions dropped by redundant-path
+  /// Expansions/emissions dropped by redundant-path
   /// elimination (peer-path cycles, subsumed canonical fingerprints).
   /// Reported as `rewritings_pruned_redundant` in docs/benches.
   size_t pruned_redundant = 0;
@@ -81,6 +86,25 @@ struct ReformulationStats {
   /// Both zero means the cache was disabled or bypassed.
   size_t plan_cache_misses = 0;
 };
+
+/// Canonical form of a CQ for duplicate pruning: α-renamed via
+/// query::Canonicalize, then body atoms sorted (reformulation dedup
+/// wants atom order ignored, unlike the order-preserving plan-cache
+/// key).
+std::string CanonicalKey(const query::ConjunctiveQuery& q);
+
+/// One reformulation step: rewrites atom `goal_idx` of `q` through the
+/// mapping application map_target → map_source. Unifies the goal with
+/// each target-body atom, checks that the variables the query still
+/// needs are exported through the target head, and splices in the
+/// instantiated source body. Appends each successful rewriting to
+/// `out`; `fresh_id` names the application's fresh variables
+/// (`_m<fresh_id>_…`).
+void ApplyMappingToGoal(const query::ConjunctiveQuery& q, size_t goal_idx,
+                        const query::ConjunctiveQuery& map_source,
+                        const query::ConjunctiveQuery& map_target,
+                        int fresh_id,
+                        std::vector<query::ConjunctiveQuery>* out);
 
 }  // namespace revere::piazza
 

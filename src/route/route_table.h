@@ -37,8 +37,8 @@ class RouteTable {
  public:
   /// Cost assigned to a peer with no estimate (and the latency scale
   /// observations are normalized by): one "hop unit". With every peer
-  /// unknown, route-mode search degenerates to uniform edge cost 1.0,
-  /// which is exactly breadth-first order.
+  /// unknown, every edge of the reformulation search costs 1.0, so a
+  /// node's cost is its depth and nodes pop in breadth-first order.
   static constexpr double kDefaultCost = 1.0;
 
   RouteTable() = default;

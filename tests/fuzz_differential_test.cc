@@ -53,6 +53,35 @@ TEST(FuzzSerializeTest, RoundTripsEveryField) {
   }
 }
 
+TEST(FuzzSerializeTest, ParsesOldRouteSelectorLine) {
+  // Seed files written while a second reformulation search existed
+  // carry its selector as the sixth reform field; it is ignored.
+  const std::string old_format =
+      "revere-fuzz-case v1\n"
+      "seed 4\n"
+      "reform 3 64 1 1 0 1 2 1\n"
+      "table p0 course 2\n"
+      "row 0 \"c1\" \"t\"\n"
+      "table p1 course 2\n"
+      "mapping p0 p1 1 m0 m(H0, H1) :- p0:course(H0, H1)  =>  "
+      "m(H0, H1) :- p1:course(H0, H1)\n"
+      "query q(V0) :- p1:course(V0, V1)\n"
+      "end\n";
+  Result<FuzzCase> parsed = ParseCase(old_format);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().reform.max_depth, 3);
+  EXPECT_EQ(parsed.value().reform.max_rewritings, 64u);
+  EXPECT_DOUBLE_EQ(parsed.value().reform.max_path_cost, 2.0);
+  EXPECT_TRUE(parsed.value().reform.prune_redundant_paths);
+  std::string text = SerializeCase(parsed.value());
+  EXPECT_NE(text.find("reform 3 64 1 1 0 2 1\n"), std::string::npos)
+      << text;
+  Result<FuzzCase> again = ParseCase(text);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(SerializeCase(again.value()), text);
+  EXPECT_TRUE(CheckCase(again.value()).ok());
+}
+
 TEST(FuzzSerializeTest, EscapesQuotesAndBackslashes) {
   FuzzCase c = GenerateCase(1);
   ASSERT_FALSE(c.tables.empty());

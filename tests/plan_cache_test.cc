@@ -1,6 +1,6 @@
 // Tests for ISSUE 3: the reformulation plan cache. Covers the PlanCache
-// container itself (LRU within capacity, generation staleness), the
-// PdmsNetwork integration (hits report the cached run's real stats,
+// container itself (LRU within capacity), the PdmsNetwork integration
+// (hits report the cached run's real stats,
 // mapping changes invalidate, answers are byte-identical cache-on vs
 // cache-off — with and without faults, for any worker count), and the
 // AnswerBatch throughput path. The concurrent stress tests at the
@@ -43,24 +43,23 @@ std::shared_ptr<const CachedPlan> MakePlan(size_t marker) {
   return plan;
 }
 
-void Put(PlanCache* cache, const std::string& key, uint64_t generation,
+void Put(PlanCache* cache, const std::string& key,
          std::shared_ptr<const CachedPlan> plan) {
-  cache->Insert(Fnv1a64(key), key, generation, std::move(plan));
+  cache->Insert(Fnv1a64(key), key, std::move(plan));
 }
 
 std::shared_ptr<const CachedPlan> Get(PlanCache* cache,
-                                      const std::string& key,
-                                      uint64_t generation) {
-  return cache->Lookup(Fnv1a64(key), key, generation);
+                                      const std::string& key) {
+  return cache->Lookup(Fnv1a64(key), key);
 }
 
 TEST(PlanCacheTest, StoresAndReturnsPlans) {
   PlanCache cache(4, 1);
   EXPECT_EQ(cache.capacity(), 4u);
   EXPECT_EQ(cache.shard_count(), 1u);
-  EXPECT_EQ(Get(&cache, "a", 0), nullptr);
-  Put(&cache, "a", 0, MakePlan(7));
-  auto hit = Get(&cache, "a", 0);
+  EXPECT_EQ(Get(&cache, "a"), nullptr);
+  Put(&cache, "a", MakePlan(7));
+  auto hit = Get(&cache, "a");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->stats.rewritings, 7u);
   PlanCache::Stats stats = cache.GetStats();
@@ -72,13 +71,13 @@ TEST(PlanCacheTest, StoresAndReturnsPlans) {
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   PlanCache cache(2, 1);  // one shard => exact LRU
-  Put(&cache, "a", 0, MakePlan(1));
-  Put(&cache, "b", 0, MakePlan(2));
-  ASSERT_NE(Get(&cache, "a", 0), nullptr);  // a is now more recent than b
-  Put(&cache, "c", 0, MakePlan(3));         // evicts b
-  EXPECT_NE(Get(&cache, "a", 0), nullptr);
-  EXPECT_EQ(Get(&cache, "b", 0), nullptr);
-  EXPECT_NE(Get(&cache, "c", 0), nullptr);
+  Put(&cache, "a", MakePlan(1));
+  Put(&cache, "b", MakePlan(2));
+  ASSERT_NE(Get(&cache, "a"), nullptr);  // a is now more recent than b
+  Put(&cache, "c", MakePlan(3));         // evicts b
+  EXPECT_NE(Get(&cache, "a"), nullptr);
+  EXPECT_EQ(Get(&cache, "b"), nullptr);
+  EXPECT_NE(Get(&cache, "c"), nullptr);
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
@@ -86,42 +85,29 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
 
 TEST(PlanCacheTest, ReinsertReplacesWithoutEviction) {
   PlanCache cache(2, 1);
-  Put(&cache, "a", 0, MakePlan(1));
-  Put(&cache, "a", 0, MakePlan(9));
-  auto hit = Get(&cache, "a", 0);
+  Put(&cache, "a", MakePlan(1));
+  Put(&cache, "a", MakePlan(9));
+  auto hit = Get(&cache, "a");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->stats.rewritings, 9u);
   EXPECT_EQ(cache.GetStats().evictions, 0u);
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
-TEST(PlanCacheTest, StaleGenerationReadsAsMissAndEvictsFirst) {
-  PlanCache cache(2, 1);
-  Put(&cache, "a", 0, MakePlan(1));
-  // Newer generation: the entry is stale.
-  EXPECT_EQ(Get(&cache, "a", 1), nullptr);
-  // At capacity the stale entry goes before any LRU victim.
-  Put(&cache, "b", 1, MakePlan(2));
-  Put(&cache, "c", 1, MakePlan(3));
-  EXPECT_EQ(Get(&cache, "a", 1), nullptr);
-  EXPECT_NE(Get(&cache, "b", 1), nullptr);
-  EXPECT_NE(Get(&cache, "c", 1), nullptr);
-}
-
 TEST(PlanCacheTest, ZeroCapacityDisables) {
   PlanCache cache(0, 8);
-  Put(&cache, "a", 0, MakePlan(1));
-  EXPECT_EQ(Get(&cache, "a", 0), nullptr);
+  Put(&cache, "a", MakePlan(1));
+  EXPECT_EQ(Get(&cache, "a"), nullptr);
   EXPECT_EQ(cache.GetStats().entries, 0u);
   EXPECT_EQ(cache.GetStats().insertions, 0u);
 }
 
 TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
   PlanCache cache(8, 2);
-  Put(&cache, "a", 0, MakePlan(1));
-  ASSERT_NE(Get(&cache, "a", 0), nullptr);
+  Put(&cache, "a", MakePlan(1));
+  ASSERT_NE(Get(&cache, "a"), nullptr);
   cache.Clear();
-  EXPECT_EQ(Get(&cache, "a", 0), nullptr);
+  EXPECT_EQ(Get(&cache, "a"), nullptr);
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 1u);  // counters survive Clear
@@ -129,9 +115,9 @@ TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
 
 TEST(PlanCacheTest, EvictedPlanStaysValidForHolders) {
   PlanCache cache(1, 1);
-  Put(&cache, "a", 0, MakePlan(42));
-  auto held = Get(&cache, "a", 0);
-  Put(&cache, "b", 0, MakePlan(1));  // evicts a
+  Put(&cache, "a", MakePlan(42));
+  auto held = Get(&cache, "a");
+  Put(&cache, "b", MakePlan(1));  // evicts a
   ASSERT_NE(held, nullptr);
   EXPECT_EQ(held->stats.rewritings, 42u);  // shared_ptr keeps it alive
 }
@@ -525,11 +511,11 @@ TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
       for (int i = 0; i < 200; ++i) {
         std::string key = "k" + std::to_string((w + i) % 24);
         uint64_t fp = Fnv1a64(key);
-        auto hit = cache.Lookup(fp, key, 0);
+        auto hit = cache.Lookup(fp, key);
         if (hit == nullptr) {
           auto plan = std::make_shared<CachedPlan>();
           plan->stats.rewritings = (w + i) % 24;
-          cache.Insert(fp, key, 0, std::move(plan));
+          cache.Insert(fp, key, std::move(plan));
         } else if (hit->stats.rewritings != size_t((w + i) % 24)) {
           wrong += 1;  // a key must only ever map to its own plan
         }

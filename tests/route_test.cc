@@ -1,9 +1,10 @@
 // Tests for ISSUE 9: scale-aware reformulation routing. Covers the
 // RouteTable (EWMA estimates, static overrides, epoch discipline), the
-// breaker/histogram seed adapters, the cost-bounded route-mode search
-// (unlimited budget == legacy BFS, bounded budget prunes with exact
-// accounting), and scoped plan-cache invalidation (plans whose peer
-// path misses a mutation survive it; churn only evicts what it must).
+// breaker/histogram seed adapters, the cost-bounded route search
+// (default options == the reference exhaustive BFS, bounded budget
+// prunes with exact accounting), and scoped plan-cache invalidation
+// (plans whose peer path misses a mutation survive it; churn only
+// evicts what it must).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "src/datagen/topology.h"
+#include "src/fuzz/reference/reference_search.h"
 #include "src/obs/metrics.h"
 #include "src/piazza/breaker.h"
 #include "src/piazza/pdms.h"
@@ -146,42 +148,54 @@ void BuildChain(BuiltNet* out, size_t peers) {
   out->report = report.value();
 }
 
-TEST(RouteSearchTest, UnlimitedBudgetMatchesLegacyByteForByte) {
-  BuiltNet built;
-  BuildChain(&built, 5);
-  ConjunctiveQuery q = AllCoursesQuery(built.report, 0);
+// Default Reformulate against the reference exhaustive BFS: the same
+// rewritings in the same order (up to fresh-variable naming), the same
+// counters with zero pruning, and the same answer rows.
+void ExpectMatchesReferenceSearch(const PdmsNetwork& net,
+                                  const ConjunctiveQuery& q) {
+  SCOPED_TRACE(q.ToString());
+  ReformulationStats stats;
+  auto rewritings = net.Reformulate(q, {}, &stats);
+  ASSERT_TRUE(rewritings.ok());
+  ReformulationStats reference_stats;
+  std::vector<ConjunctiveQuery> reference =
+      fuzz::ReferenceReformulate(net, q, {}, &reference_stats);
 
-  ReformulationOptions legacy;
-  legacy.max_depth = 6;
-  ReformulationStats legacy_stats;
-  auto legacy_rw = built.net.Reformulate(q, legacy, &legacy_stats);
-  ASSERT_TRUE(legacy_rw.ok());
-
-  ReformulationOptions routed = legacy;
-  routed.use_route_search = true;  // max_path_cost = 0: unlimited
-  ReformulationStats routed_stats;
-  auto routed_rw = built.net.Reformulate(q, routed, &routed_stats);
-  ASSERT_TRUE(routed_rw.ok());
-
-  // Uniform costs make the best-first queue pop in BFS order: same
-  // rewritings (up to variable naming), same counters, zero pruning.
-  ASSERT_EQ(routed_rw.value().size(), legacy_rw.value().size());
-  for (size_t i = 0; i < routed_rw.value().size(); ++i) {
-    EXPECT_TRUE(
-        query::AlphaEquivalent(routed_rw.value()[i], legacy_rw.value()[i]))
+  ASSERT_EQ(rewritings.value().size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(query::Canonicalize(rewritings.value()[i]).text,
+              query::Canonicalize(reference[i]).text)
         << "rewriting " << i;
   }
-  EXPECT_EQ(routed_stats.nodes_expanded, legacy_stats.nodes_expanded);
-  EXPECT_EQ(routed_stats.rewritings, legacy_stats.rewritings);
-  EXPECT_EQ(routed_stats.pruned_cost, 0u);
-  EXPECT_EQ(routed_stats.pruned_redundant, 0u);
+  EXPECT_EQ(stats.nodes_expanded, reference_stats.nodes_expanded);
+  EXPECT_EQ(stats.pruned_duplicates, reference_stats.pruned_duplicates);
+  EXPECT_EQ(stats.pruned_unreachable, reference_stats.pruned_unreachable);
+  EXPECT_EQ(stats.pruned_depth, reference_stats.pruned_depth);
+  EXPECT_EQ(stats.rewritings, reference_stats.rewritings);
+  EXPECT_EQ(stats.pruned_cost, 0u);
+  EXPECT_EQ(stats.pruned_redundant, 0u);
 
-  // And the answers are byte-identical.
-  auto legacy_rows = built.net.Answer(q, legacy);
-  auto routed_rows = built.net.Answer(q, routed);
-  ASSERT_TRUE(legacy_rows.ok());
-  ASSERT_TRUE(routed_rows.ok());
-  EXPECT_EQ(routed_rows.value(), legacy_rows.value());
+  auto rows = net.Answer(q);
+  auto reference_rows = fuzz::ReferenceAnswer(net, q, reference, {});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_TRUE(reference_rows.ok());
+  EXPECT_EQ(rows.value(), reference_rows.value());
+}
+
+TEST(RouteSearchTest, DefaultReformulateMatchesReferenceSearch) {
+  for (Topology topology : {Topology::kFigure2, Topology::kSmallWorld}) {
+    PdmsGenOptions opts;
+    opts.topology = topology;
+    opts.peers = 24;  // ignored by kFigure2
+    opts.rows_per_peer = 2;
+    opts.seed = 2003;
+    PdmsNetwork net;
+    auto report = BuildUniversityPdms(&net, opts);
+    ASSERT_TRUE(report.ok());
+    for (size_t p = 0; p < report.value().peer_names.size(); ++p) {
+      ExpectMatchesReferenceSearch(net, AllCoursesQuery(report.value(), p));
+    }
+  }
 }
 
 TEST(RouteSearchTest, BoundedBudgetPrunesWithExactAccounting) {
@@ -196,7 +210,6 @@ TEST(RouteSearchTest, BoundedBudgetPrunesWithExactAccounting) {
   EXPECT_EQ(full.value().size(), 12u);  // all six peers' rows
 
   ReformulationOptions bounded = exhaustive;
-  bounded.use_route_search = true;
   bounded.max_path_cost = 2.0;  // two uniform-cost hops down the chain
   ReformulationStats stats;
   auto rewritings = built.net.Reformulate(q, bounded, &stats);
@@ -222,7 +235,6 @@ TEST(RouteSearchTest, RedundantPathEliminationCountsCycles) {
 
   ReformulationOptions routed;
   routed.max_depth = 6;
-  routed.use_route_search = true;
   routed.prune_redundant_paths = true;
   ReformulationStats stats;
   auto rewritings = built.net.Reformulate(q, routed, &stats);
@@ -249,7 +261,6 @@ TEST(RouteSearchTest, NonUniformCostsSteerThePruning) {
   ConjunctiveQuery q = AllCoursesQuery(report.value(), 0);
   ReformulationOptions routed;
   routed.max_depth = 4;
-  routed.use_route_search = true;
   routed.max_path_cost = 5.0;
   auto rows = net.Answer(q, routed);
   ASSERT_TRUE(rows.ok());
@@ -297,7 +308,6 @@ TEST(ScopedInvalidationTest, UnrelatedMutationKeepsPlansWarm) {
   PdmsNetwork net;
   ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
   ASSERT_TRUE(AddIsolatedPair(&net, "x", "y").ok());
-  ASSERT_TRUE(net.scoped_invalidation());
 
   EXPECT_FALSE(WarmHit(&net, QueryAt("a")));  // cold build
   EXPECT_TRUE(WarmHit(&net, QueryAt("a")));   // warm
@@ -318,17 +328,6 @@ TEST(ScopedInvalidationTest, UnrelatedMutationKeepsPlansWarm) {
                   .ok());
   EXPECT_TRUE(WarmHit(&net, QueryAt("a")));   // untouched component
   EXPECT_FALSE(WarmHit(&net, QueryAt("x")));  // rebuilt
-}
-
-TEST(ScopedInvalidationTest, GlobalModeInvalidatesEverything) {
-  PdmsNetwork net;
-  net.set_scoped_invalidation(false);
-  ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  // Any mutation — even an unrelated peer — cold-starts every plan.
-  ASSERT_TRUE(net.AddPeer("newcomer").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
 }
 
 TEST(ScopedInvalidationTest, PeerGenerationsAdvancePerMutation) {
@@ -355,26 +354,35 @@ TEST(ScopedInvalidationTest, PeerGenerationsAdvancePerMutation) {
   EXPECT_GT(net.peer_generation("b"), b0);
 }
 
-TEST(ScopedInvalidationTest, ModeFlipClearsTheCache) {
-  PdmsNetwork net;
-  ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  net.set_scoped_invalidation(false);  // flip => stale keys are dropped
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  net.set_scoped_invalidation(true);
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-}
-
-TEST(ScopedInvalidationTest, MutationStillInvalidatesLegacyReformulate) {
-  // The legacy global generation keeps ticking in scoped mode, so code
-  // reading plan_generation() directly still observes every mutation.
+TEST(ScopedInvalidationTest, MutationInvalidatesDefaultReformulate) {
+  // Every mutation moves the mutation clock, and one that touches a
+  // cached plan's peers rebuilds that plan under default options.
   PdmsNetwork net;
   ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
   uint64_t g0 = net.plan_generation();
   ASSERT_TRUE(net.AddPeer("c").ok());
   EXPECT_GT(net.plan_generation(), g0);
+
+  ReformulationStats cold, warm, rebuilt;
+  ASSERT_TRUE(net.Reformulate(QueryAt("a"), {}, &cold).ok());
+  ASSERT_TRUE(net.Reformulate(QueryAt("a"), {}, &warm).ok());
+  EXPECT_EQ(cold.plan_cache_misses, 1u);
+  EXPECT_EQ(warm.plan_cache_hits, 1u);
+  auto src = ConjunctiveQuery::Parse("m(I, T) :- c:course(I, T)");
+  auto tgt = ConjunctiveQuery::Parse("m(I, T) :- a:course(I, T)");
+  ASSERT_TRUE(src.ok());
+  ASSERT_TRUE(tgt.ok());
+  ASSERT_TRUE(
+      net.AddStoredRelation(
+             "c", storage::TableSchema::AllStrings("course", {"id", "t"}))
+          .ok());
+  ASSERT_TRUE(net.AddMapping(PeerMapping{{"c-a", src.value(), tgt.value()},
+                                         "c", "a", true})
+                  .ok());
+  auto rewritings = net.Reformulate(QueryAt("a"), {}, &rebuilt);
+  ASSERT_TRUE(rewritings.ok());
+  EXPECT_EQ(rebuilt.plan_cache_misses, 1u);
+  EXPECT_GT(rebuilt.rewritings, warm.rewritings);  // c's course joined
 }
 
 }  // namespace
